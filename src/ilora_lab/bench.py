@@ -145,11 +145,13 @@ def pretrain_backbone(anchor_train: Batch, arch: ArchConfig, seed: int,
     n = anchor_train.n
     steps = arch.pretrain_epochs * math.ceil(n / arch.pretrain_batch)
     vec = backbone_vector(net)
+    shape = (d, h, e, c, arch.rank, arch.alpha)
     adam = AdamState.fresh(vec.size, arch.pretrain_lr, 0.2, steps)
     for _ in range(steps):
         idx = [rng.next_below(n) for _ in range(arch.pretrain_batch)]
         batch = Batch(anchor_train.X[idx], anchor_train.y[idx])
-        net_now = backbone_from_vector(net, vec)
-        _, grad = backbone_loss_and_grad(net_now, batch)
+        # adam_step returns a fresh vector, so views into vec stay valid
+        _, grad = backbone_loss_and_grad(backbone_from_vector(vec, *shape),
+                                         batch)
         vec, adam = adam_step(adam, vec, grad)
-    return backbone_from_vector(net, vec)
+    return backbone_from_vector(vec.copy(), *shape)

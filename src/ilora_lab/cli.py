@@ -31,7 +31,7 @@ from .bench import ArchConfig, TaskSpec, make_stream, pretrain_backbone
 from .connectivity import (default_lambda_grid, landscape_grid, linear_cka,
                            sweep_lambda, weight_distance)
 from .metrics import acc_t, bwt_t, general_retention
-from .model import backbone_vector, forward
+from .model import backbone_from_vector, backbone_vector, forward
 from .numerics import RngState
 from .strategies import StrategyConfig, run_sequence
 
@@ -173,6 +173,23 @@ def rebuild_environment(cfg: dict):
     return stream, net
 
 
+def load_environment(out: Path, cfg: dict):
+    """Regenerate the stream from a run's config and load the backbone the
+    run saved, instead of pretraining it again."""
+    path = out / "backbone.bin"
+    if not path.exists():
+        raise FileNotFoundError(f"missing artifact: {path}")
+    vec, _ = load_checkpoint(path)
+    st, a = cfg["stream"], cfg["arch"]
+    try:
+        net = backbone_from_vector(vec, st["input_dim"], a["hidden"],
+                                   a["embed"], st["classes"], a["rank"],
+                                   a["alpha"])
+    except ValueError as exc:
+        raise ConfigError(f"{path} does not match the config: {exc}") from exc
+    return make_stream(cfg["seed"], st["tasks"], _task_spec(cfg)), net
+
+
 # --- output writers ---------------------------------------------------------
 
 def _fmt(x: float) -> str:
@@ -269,25 +286,35 @@ def _load_params(out: Path, t: int, role: str) -> np.ndarray:
     return params
 
 
-def cmd_sweep_lambda(run_dir: str, transition: int, points: int = 21,
-                     role: str = "working") -> int:
-    try:
-        out, cfg = _load_run_dir(run_dir)
-        theta_a = _load_params(out, transition, role)
-        theta_b = _load_params(out, transition + 1, role)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def _exit_code(command):
+    """Wrap a read-side command so its failures end in an exit code and a
+    one-line message; success returns EXIT_OK."""
+    def run(*args, **kwargs) -> int:
+        try:
+            command(*args, **kwargs)
+        except FileNotFoundError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_MISSING
+        except ValueError as exc:  # ConfigError and malformed checkpoints
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except ArithmeticError as exc:
+            print(f"error: numeric failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
+        return EXIT_OK
+    return run
 
-    stream, net = rebuild_environment(cfg)
+
+@_exit_code
+def cmd_sweep_lambda(run_dir: str, transition: int, points: int = 21,
+                     role: str = "working") -> None:
+    out, cfg = _load_run_dir(run_dir)
+    theta_a = _load_params(out, transition, role)
+    theta_b = _load_params(out, transition + 1, role)
+    stream, net = load_environment(out, cfg)
     evals = [ev for _, ev in stream.pairs]
     if transition + 1 > len(evals):
-        print(f"error: transition {transition} exceeds task count",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"transition {transition} exceeds task count")
     sweep = sweep_lambda(theta_a, theta_b, net, evals[:transition],
                          evals[transition], default_lambda_grid(points),
                          transition=transition)
@@ -296,70 +323,59 @@ def cmd_sweep_lambda(run_dir: str, transition: int, points: int = 21,
                                  sweep.Aall):
         lines.append(f"{_fmt(lam)},{_fmt(ap)},{_fmt(an)},{_fmt(aall)}")
     (out / f"sweep_t{transition}.csv").write_text("\n".join(lines) + "\n")
-    return EXIT_OK
 
 
+@_exit_code
 def cmd_probe(run_dir: str, kind: str, transition: int = 1,
-              grid_extent: float = 1.5, grid_points: int = 11) -> int:
-    try:
-        out, cfg = _load_run_dir(run_dir)
-        stream, net = rebuild_environment(cfg)
-        T = len(stream)
-        has_slow = (out / "task1_longterm.bin").exists()
+              grid_extent: float = 1.5, grid_points: int = 11) -> None:
+    out, cfg = _load_run_dir(run_dir)
+    stream, net = load_environment(out, cfg)
+    T = len(stream)
+    has_slow = (out / "task1_longterm.bin").exists()
 
-        if kind == "wd":
-            lines = ["transition,WD_w,WD_l"]
-            for t in range(1, T):
-                ww = weight_distance(_load_params(out, t, "working"),
-                                     _load_params(out, t + 1, "working"))
-                if has_slow:
-                    wl = weight_distance(_load_params(out, t, "longterm"),
-                                         _load_params(out, t + 1, "longterm"))
-                else:
-                    wl = ww  # single-memory run: deployed == working
-                lines.append(f"{t},{_fmt(ww)},{_fmt(wl)}")
-            (out / "wd.csv").write_text("\n".join(lines) + "\n")
-        elif kind == "cka":
-            probe = stream.anchor[1]
-            lines = ["transition,cka"]
-            for t in range(1, T):
-                _, za = forward(net, _load_params(out, t, "working"), probe.X)
-                _, zb = forward(net, _load_params(out, t + 1, "working"),
-                                probe.X)
-                lines.append(f"{t},{_fmt(linear_cka(za, zb))}")
-            (out / "cka.csv").write_text("\n".join(lines) + "\n")
-        elif kind == "landscape":
-            t = transition
-            if t < 1 or t + 1 > T:
-                raise ConfigError(f"landscape transition {t} out of range")
-            theta0 = _load_params(out, t, "working")
-            d1 = _load_params(out, t + 1, "working") - theta0
+    if kind == "wd":
+        lines = ["transition,WD_w,WD_l"]
+        for t in range(1, T):
+            ww = weight_distance(_load_params(out, t, "working"),
+                                 _load_params(out, t + 1, "working"))
             if has_slow:
-                d2 = _load_params(out, t + 1, "longterm") - theta0
+                wl = weight_distance(_load_params(out, t, "longterm"),
+                                     _load_params(out, t + 1, "longterm"))
             else:
-                raise FileNotFoundError(
-                    "missing artifact: longterm checkpoints "
-                    "(landscape probe needs a dual-memory run)")
-            coords = np.linspace(-grid_extent, grid_extent, grid_points)
-            grid = landscape_grid(theta0, d1, d2, coords, coords, net,
-                                  stream.anchor[1])
-            lines = ["a,b,value"]
-            for i, a in enumerate(grid.a_grid):
-                for j, b in enumerate(grid.b_grid):
-                    lines.append(f"{_fmt(a)},{_fmt(b)},{_fmt(grid.values[i, j])}")
-            (out / "landscape.csv").write_text("\n".join(lines) + "\n")
+                wl = ww  # single-memory run: deployed == working
+            lines.append(f"{t},{_fmt(ww)},{_fmt(wl)}")
+        (out / "wd.csv").write_text("\n".join(lines) + "\n")
+    elif kind == "cka":
+        probe = stream.anchor[1]
+        lines = ["transition,cka"]
+        for t in range(1, T):
+            _, za = forward(net, _load_params(out, t, "working"), probe.X)
+            _, zb = forward(net, _load_params(out, t + 1, "working"),
+                            probe.X)
+            lines.append(f"{t},{_fmt(linear_cka(za, zb))}")
+        (out / "cka.csv").write_text("\n".join(lines) + "\n")
+    elif kind == "landscape":
+        t = transition
+        if t < 1 or t + 1 > T:
+            raise ConfigError(f"landscape transition {t} out of range")
+        theta0 = _load_params(out, t, "working")
+        d1 = _load_params(out, t + 1, "working") - theta0
+        if has_slow:
+            d2 = _load_params(out, t + 1, "longterm") - theta0
         else:
-            raise ConfigError(f"unknown probe kind {kind!r}")
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ArithmeticError as exc:
-        print(f"error: numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+            raise FileNotFoundError(
+                "missing artifact: longterm checkpoints "
+                "(landscape probe needs a dual-memory run)")
+        coords = np.linspace(-grid_extent, grid_extent, grid_points)
+        grid = landscape_grid(theta0, d1, d2, coords, coords, net,
+                              stream.anchor[1])
+        lines = ["a,b,value"]
+        for i, a in enumerate(grid.a_grid):
+            for j, b in enumerate(grid.b_grid):
+                lines.append(f"{_fmt(a)},{_fmt(b)},{_fmt(grid.values[i, j])}")
+        (out / "landscape.csv").write_text("\n".join(lines) + "\n")
+    else:
+        raise ConfigError(f"unknown probe kind {kind!r}")
 
 
 def main(argv=None) -> int:

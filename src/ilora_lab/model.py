@@ -109,20 +109,22 @@ def _effective_weights(net: Network, theta: np.ndarray):
     return W1eff, W2eff
 
 
-def _forward_cached(net: Network, theta: np.ndarray, X: np.ndarray):
-    W1eff, W2eff = _effective_weights(net, theta)
+def _forward_cached(net: Network, W1eff: np.ndarray, W2eff: np.ndarray,
+                    X: np.ndarray):
     pre1 = matmul(X, W1eff.T) + net.b1
     h1 = np.maximum(pre1, 0.0)
     z = matmul(h1, W2eff.T) + net.b2
     logits = matmul(z, net.Whead.T) + net.bhead
-    return logits, z, h1, pre1, W1eff, W2eff
+    return logits, z, h1, pre1
 
 
 def forward(net: Network, theta: np.ndarray, X: np.ndarray):
     """Logits (n x c) and pre-head embedding (n x e) for an input batch."""
     if X.shape[1] != net.d:
         raise ValueError(f"input dim {X.shape[1]} != {net.d}")
-    logits, z, *_ = _forward_cached(net, theta, X)
+    logits, z, _, _ = _forward_cached(net, *_effective_weights(net, theta), X)
+    if not (np.isfinite(logits).all() and np.isfinite(z).all()):
+        raise ArithmeticError("non-finite logits or embedding")
     return logits, z
 
 
@@ -132,19 +134,24 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return ex / ex.sum(axis=1, keepdims=True)
 
 
-def _adapter_grads_from_embedding_grad(net, dz, h1, pre1, X, A1, B1, A2, B2):
+def _adapter_grads_from_embedding_grad(net, dz, h1, pre1, X, A1, B1, A2, B2,
+                                       W2eff):
     """Backprop an embedding-level gradient dz (n x e) into adapter grads."""
     s = net.scaling
     dW2eff = matmul(dz.T, h1)
     dB2 = s * matmul(dW2eff, A2.T)
     dA2 = s * matmul(B2.T, dW2eff)
-    W2eff = net.W2 + s * matmul(B2, A2)
     dh1 = matmul(dz, W2eff)
     dpre1 = dh1 * (pre1 > 0.0)
     dW1eff = matmul(dpre1.T, X)
     dB1 = s * matmul(dW1eff, A1.T)
     dA1 = s * matmul(B1.T, dW1eff)
     return dA1, dB1, dA2, dB2
+
+
+def _check_finite(loss: float, grad: np.ndarray) -> None:
+    if not (np.isfinite(loss) and np.isfinite(grad).all()):
+        raise ArithmeticError("non-finite loss or gradient")
 
 
 def loss_and_grad(net: Network, theta: np.ndarray, batch: Batch,
@@ -156,8 +163,9 @@ def loss_and_grad(net: Network, theta: np.ndarray, batch: Batch,
     if gamma > 0.0 and (mem_batch is None or z_target is None):
         raise ValueError("gamma > 0 requires mem_batch and z_target")
     A1, B1, A2, B2 = split_params(net, theta)
+    W1eff, W2eff = _effective_weights(net, theta)
 
-    logits, z, h1, pre1, _, _ = _forward_cached(net, theta, batch.X)
+    logits, z, h1, pre1 = _forward_cached(net, W1eff, W2eff, batch.X)
     n = batch.n
     probs = softmax(logits)
     eps_rows = probs[np.arange(n), batch.y]
@@ -168,25 +176,25 @@ def loss_and_grad(net: Network, theta: np.ndarray, batch: Batch,
     dlogits /= n
     dz = matmul(dlogits, net.Whead)
     dA1, dB1, dA2, dB2 = _adapter_grads_from_embedding_grad(
-        net, dz, h1, pre1, batch.X, A1, B1, A2, B2)
+        net, dz, h1, pre1, batch.X, A1, B1, A2, B2, W2eff)
 
     if gamma > 0.0:
         if z_target.shape != (mem_batch.n, net.e):
             raise ValueError("z_target shape mismatch")
-        _, zm, h1m, pre1m, _, _ = _forward_cached(net, theta, mem_batch.X)
+        _, zm, h1m, pre1m = _forward_cached(net, W1eff, W2eff, mem_batch.X)
         diff = zm - z_target
         loss += gamma * float(np.mean(diff * diff))
         dzm = (2.0 * gamma / diff.size) * diff
         mA1, mB1, mA2, mB2 = _adapter_grads_from_embedding_grad(
-            net, dzm, h1m, pre1m, mem_batch.X, A1, B1, A2, B2)
+            net, dzm, h1m, pre1m, mem_batch.X, A1, B1, A2, B2, W2eff)
         dA1 += mA1
         dB1 += mB1
         dA2 += mA2
         dB2 += mB2
 
-    if not np.isfinite(loss):
-        raise ArithmeticError("non-finite loss")
-    return loss, join_params(dA1, dB1, dA2, dB2)
+    grad = join_params(dA1, dB1, dA2, dB2)
+    _check_finite(loss, grad)
+    return loss, grad
 
 
 def predict_accuracy(net: Network, theta: np.ndarray, eval_batch: Batch) -> float:
@@ -203,18 +211,22 @@ def backbone_vector(net: Network) -> np.ndarray:
                            net.Whead.ravel(), net.bhead])
 
 
-def backbone_from_vector(net: Network, vec: np.ndarray) -> Network:
-    d, h, e, c = net.d, net.h, net.e, net.c
-    sizes = [h * d, h, e * h, e, c * e, c]
+def backbone_from_vector(vec: np.ndarray, d: int, h: int, e: int, c: int,
+                         rank: int, alpha: float) -> Network:
+    """Network with input d, hidden h, embedding e and c classes whose arrays
+    are views into vec (no copies); copy vec first if it will be mutated."""
+    sizes = (h * d, h, e * h, e, c * e, c)
+    if vec.shape != (sum(sizes),):
+        raise ValueError(f"backbone vector length {vec.shape} != "
+                         f"({sum(sizes)},) for d={d} h={h} e={e} c={c}")
     parts = []
     off = 0
     for s in sizes:
         parts.append(vec[off:off + s])
         off += s
-    return Network(parts[0].reshape(h, d).copy(), parts[1].copy(),
-                   parts[2].reshape(e, h).copy(), parts[3].copy(),
-                   parts[4].reshape(c, e).copy(), parts[5].copy(),
-                   rank=net.rank, alpha=net.alpha)
+    return Network(parts[0].reshape(h, d), parts[1], parts[2].reshape(e, h),
+                   parts[3], parts[4].reshape(c, e), parts[5],
+                   rank=rank, alpha=alpha)
 
 
 def backbone_loss_and_grad(net: Network, batch: Batch):
@@ -242,6 +254,5 @@ def backbone_loss_and_grad(net: Network, batch: Batch):
     db1 = dpre1.sum(axis=0)
     grad = np.concatenate([dW1.ravel(), db1, dW2.ravel(), db2,
                            dWhead.ravel(), dbhead])
-    if not np.isfinite(loss):
-        raise ArithmeticError("non-finite loss")
+    _check_finite(loss, grad)
     return loss, grad

@@ -2,7 +2,20 @@
 
 All numeric state is float64 numpy. The matmul kernel accumulates over the
 inner dimension in ascending order so results are bit-identical to a naive
-triple loop, independent of BLAS build details.
+triple loop, independent of BLAS build details. It has two paths, both on
+C-contiguous copies of the operands:
+
+- small products (K*m*n <= _VECTOR_MAX_ELEMS, output not 1x1) build the
+  K x m x n array of products and sum it over its outer axis, which numpy
+  does slice by slice, i.e. k-ascending. ``+ 0.0`` then turns a ``-0.0``
+  total into ``+0.0`` as the loop's zero start does, on numpy releases whose
+  sum starts from the first slice rather than from ``+0.0``. A 1x1 output is
+  left to the loop because numpy reduces a contiguous axis pairwise.
+- larger products loop over k, accumulating into one reused buffer, so the
+  temporary stays m x n.
+
+The kernel does not check finiteness; the model checks its losses,
+gradients, logits and embeddings once per call instead.
 
 RNG contract (xorshift64*, seeded through splitmix64):
 
@@ -91,6 +104,11 @@ def as_matrix(data) -> np.ndarray:
     return m
 
 
+# Largest K*m*n product that matmul computes as one K x m x n array
+# (32k float64 values, a 256 KB temporary); larger products take the k loop.
+_VECTOR_MAX_ELEMS = 1 << 15
+
+
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Deterministic product: accumulation over k ascending, bit-equal to the
     naive triple loop."""
@@ -98,11 +116,17 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = as_matrix(b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for k in range(a.shape[1]):
-        out += a[:, k : k + 1] * b[k : k + 1, :]
-    if not np.all(np.isfinite(out)):
-        raise ArithmeticError("non-finite entries in matmul result")
+    m, K = a.shape
+    n = b.shape[1]
+    at = np.ascontiguousarray(a.T)
+    b = np.ascontiguousarray(b)
+    if m * n > 1 and K * m * n <= _VECTOR_MAX_ELEMS:
+        return (at[:, :, None] * b[:, None, :]).sum(axis=0) + 0.0
+    out = np.zeros((m, n))
+    tmp = np.empty((m, n))
+    for k in range(K):
+        np.multiply(at[k, :, None], b[k], out=tmp)
+        out += tmp
     return out
 
 

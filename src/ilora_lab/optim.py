@@ -113,11 +113,9 @@ class EwcState:
     lambda_ewc: float
 
 
-def ewc_fisher(net: Network, theta: np.ndarray, dataset: Batch,
-               rng=None) -> np.ndarray:
+def ewc_fisher(net: Network, theta: np.ndarray, dataset: Batch) -> np.ndarray:
     """Empirical diagonal Fisher: mean over samples of the squared per-sample
-    log-likelihood gradient. Deterministic; rng accepted for interface parity
-    but unused (the full dataset is visited)."""
+    log-likelihood gradient. Deterministic: the full dataset is visited."""
     total = np.zeros_like(theta)
     for i in range(dataset.n):
         one = Batch(dataset.X[i : i + 1], dataset.y[i : i + 1])

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -237,3 +238,68 @@ class TestProbeCommand:
     def test_unknown_probe_rejected(self, seq_run):
         with pytest.raises(SystemExit):
             main(["probe", str(seq_run), "entropy"])
+
+
+PROBE_OUTPUTS = ("sweep_t*.csv", "wd.csv", "cka.csv", "landscape.csv")
+
+
+def copy_run(run, tmp_path):
+    """A private copy of a finished run without the probes' CSVs."""
+    dst = tmp_path / "run"
+    shutil.copytree(run, dst, ignore=shutil.ignore_patterns(*PROBE_OUTPUTS))
+    return dst
+
+
+def assert_one_line_error(capsys, prefix="error: "):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+class TestSavedBackbone:
+    def test_probes_do_not_pretrain(self, seq_run, monkeypatch):
+        def no_pretrain(*args, **kwargs):
+            raise AssertionError("probe pretrained the backbone again")
+
+        monkeypatch.setattr("ilora_lab.cli.pretrain_backbone", no_pretrain)
+        assert main(["probe", str(seq_run), "wd"]) == 0
+        assert main(["probe", str(seq_run), "cka"]) == 0
+        assert main(["sweep-lambda", str(seq_run), "--transition", "1"]) == 0
+
+    def test_missing_backbone_exit_3(self, seq_run, tmp_path, capsys):
+        run = copy_run(seq_run, tmp_path)
+        (run / "backbone.bin").unlink()
+        for argv in (["probe", str(run), "cka"],
+                     ["sweep-lambda", str(run), "--transition", "1"]):
+            assert main(argv) == 3
+            assert_one_line_error(capsys)
+
+    def test_backbone_shape_mismatch_exit_2(self, seq_run, tmp_path, capsys):
+        run = copy_run(seq_run, tmp_path)
+        vec, _ = load_checkpoint(run / "backbone.bin")
+        save_checkpoint(run / "backbone.bin", vec[:-1], 0, 0, "backbone")
+        for argv in (["probe", str(run), "wd"],
+                     ["sweep-lambda", str(run), "--transition", "1"]):
+            assert main(argv) == 2
+            assert_one_line_error(capsys)
+        assert not (run / "wd.csv").exists()
+
+
+class TestNumericFailure:
+    @pytest.fixture
+    def nan_run(self, ilora_run, tmp_path):
+        run = copy_run(ilora_run, tmp_path)
+        theta, _ = load_checkpoint(run / "task2_working.bin")
+        save_checkpoint(run / "task2_working.bin", np.full_like(theta, np.nan),
+                        2, 0, "working")
+        return run
+
+    @pytest.mark.parametrize("argv, csv", [
+        (["sweep-lambda", "--transition", "1"], "sweep_t1.csv"),
+        (["probe", "cka"], "cka.csv"),
+        (["probe", "landscape", "--transition", "1", "--grid-points", "3"],
+         "landscape.csv"),
+    ])
+    def test_nan_checkpoint_exit_4(self, nan_run, capsys, argv, csv):
+        assert main([argv[0], str(nan_run), *argv[1:]]) == 4
+        assert_one_line_error(capsys, "error: numeric failure: ")
+        assert not (nan_run / csv).exists()

@@ -162,3 +162,32 @@ class TestPredictAccuracy:
         X = gaussian_fill(RngState(9), 4, net.d)
         assert predict_accuracy(net, theta, Batch(X, np.zeros(4, dtype=np.int64))) == 1.0
         assert predict_accuracy(net, theta, Batch(X, np.ones(4, dtype=np.int64))) == 0.0
+
+    def test_nan_theta_raises_instead_of_argmax(self):
+        # an argmax over NaN logits would silently predict class 0
+        net = make_tiny_net()
+        theta = np.full(param_length(net), np.nan)
+        X = gaussian_fill(RngState(9), 4, net.d)
+        with pytest.raises(ArithmeticError):
+            predict_accuracy(net, theta, Batch(X, np.zeros(4, dtype=np.int64)))
+        with pytest.raises(ArithmeticError):
+            forward(net, theta, X)
+
+
+class TestFiniteness:
+    def test_nan_theta_rejected_by_loss_and_grad(self):
+        net = make_tiny_net()
+        batch = make_batch(RngState(2), 6, net.d, net.c)
+        theta = random_theta(net)
+        theta[0] = np.nan
+        with pytest.raises(ArithmeticError):
+            loss_and_grad(net, theta, batch)
+
+    def test_backbone_loss_and_grad_rejects_nan_input(self):
+        from ilora_lab.model import backbone_loss_and_grad
+        net = make_tiny_net()
+        batch = make_batch(RngState(2), 6, net.d, net.c)
+        X = batch.X.copy()
+        X[0, 0] = np.nan
+        with pytest.raises(ArithmeticError):
+            backbone_loss_and_grad(net, Batch(X, batch.y))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ilora_lab import RngState, finite_diff_grad, gaussian_fill, matmul
+from ilora_lab.numerics import _VECTOR_MAX_ELEMS
 
 
 def triple_loop_matmul(a, b):
@@ -15,6 +16,92 @@ def triple_loop_matmul(a, b):
                 s += a[i, kk] * b[kk, j]
             out[i, j] = s
     return out
+
+
+def loop_entry(a, b, i, j):
+    """Entry (i, j) of the triple loop."""
+    s = 0.0
+    for kk in range(a.shape[1]):
+        s += a[i, kk] * b[kk, j]
+    return s
+
+
+def signed_zeros(rng, x, frac=0.2):
+    """x with a fraction of its entries replaced by 0.0 or -0.0."""
+    x = x.copy()
+    hit = rng.random(x.shape) < frac
+    x[hit] = np.where(rng.random(x.shape) < 0.5, 0.0, -0.0)[hit]
+    return x
+
+
+def operand(rng, rows, cols, layout):
+    """A rows x cols operand: C-contiguous, a transposed view or a strided
+    column slice."""
+    if layout == "T":
+        return signed_zeros(rng, rng.standard_normal((cols, rows))).T
+    if layout == "strided":
+        return signed_zeros(rng, rng.standard_normal((rows, 2 * cols)))[:, ::2]
+    return signed_zeros(rng, rng.standard_normal((rows, cols)))
+
+
+def assert_bit_equal_to_loop(a, b, rng, max_full=4096, samples=16):
+    """Byte-compare matmul with the triple loop: every entry for small
+    products, a seeded sample of entries for large ones."""
+    out = matmul(a, b)
+    m, k = a.shape
+    n = b.shape[1]
+    if m * k * n <= max_full:
+        assert out.tobytes() == triple_loop_matmul(a, b).tobytes(), (m, k, n)
+        return
+    for _ in range(samples):
+        i, j = int(rng.integers(m)), int(rng.integers(n))
+        want = np.float64(loop_entry(a, b, i, j))
+        assert out[i, j].tobytes() == want.tobytes(), (m, k, n, i, j)
+
+
+class TestMatmulBitExact:
+    """matmul must reproduce the naive k-ascending triple loop bit for bit on
+    both kernel paths, whatever the operand layout."""
+
+    SIDES = (1, 2, 3, 16, 64, 256)
+    INNER = (1, 2, 9, 16, 33, 64, 256)
+    LAYOUTS = ("C", "T", "strided")
+
+    def test_shape_grid(self):
+        rng = np.random.default_rng(20240229)
+        for m in self.SIDES:
+            for n in self.SIDES:
+                for k in self.INNER:
+                    a = operand(rng, m, k, self.LAYOUTS[rng.integers(3)])
+                    b = operand(rng, k, n, self.LAYOUTS[rng.integers(3)])
+                    assert_bit_equal_to_loop(a, b, rng)
+
+    def test_both_sides_of_vector_cutoff(self):
+        rng = np.random.default_rng(7)
+        for m, k, n in ((2, 256, 64), (3, 256, 64), (16, 64, 32),
+                        (16, 64, 33), (1, 256, 128), (1, 256, 129)):
+            for layout in self.LAYOUTS:
+                a = operand(rng, m, k, layout)
+                b = operand(rng, k, n, layout)
+                assert_bit_equal_to_loop(a, b, rng, max_full=_VECTOR_MAX_ELEMS * 2)
+
+    def test_single_output_uses_sequential_sum(self):
+        # numpy sums a contiguous axis pairwise; a 1x1 output must not
+        rng = np.random.default_rng(3)
+        for k in (16, 64, 256, 1000):
+            a = rng.standard_normal((1, k)) * 10.0 ** rng.integers(-8, 8, (1, k))
+            b = rng.standard_normal((k, 1))
+            assert_bit_equal_to_loop(a, b, rng, max_full=k)
+
+    def test_negative_zero_total_becomes_positive_zero(self):
+        # B = 0 at adapter init: every product of B @ A is +-0.0
+        rng = np.random.default_rng(5)
+        for m, k, n in ((8, 4, 16), (32, 8, 16), (64, 32, 256)):
+            a = np.zeros((m, k))
+            b = -np.abs(rng.standard_normal((k, n)))
+            out = matmul(a, b)
+            assert not np.signbit(out).any()
+            assert out.tobytes() == triple_loop_matmul(a, b).tobytes()
 
 
 class TestMatmul:
