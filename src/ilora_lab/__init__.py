@@ -16,4 +16,17 @@ from .replay import ReplayBuffer
 from .strategies import (DualMemoryState, RunRecord, StrategyConfig,
                          ilora_step, run_sequence, train_task)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "ArchConfig", "TaskSpec", "TaskStream", "make_stream", "pretrain_backbone",
+    "LambdaSweep", "LandscapeGrid", "default_lambda_grid", "interpolate",
+    "landscape_grid", "linear_cka", "sweep_lambda", "weight_distance",
+    "ResultMatrix", "acc_t", "bwt_t", "general_retention",
+    "Batch", "Network", "forward", "init_params", "loss_and_grad",
+    "param_length", "predict_accuracy",
+    "RngState", "finite_diff_grad", "gaussian_fill", "matmul",
+    "AdamState", "EwcState", "GradRef", "adam_step", "agem_project",
+    "ema_update", "ewc_fisher", "ewc_penalty_grad", "lr_at", "sgd_step",
+    "ReplayBuffer",
+    "DualMemoryState", "RunRecord", "StrategyConfig", "ilora_step",
+    "run_sequence", "train_task",
+]

@@ -75,6 +75,8 @@ def load_checkpoint(path):
     payload = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
     if payload.size != count:
         raise ValueError(f"checkpoint payload size mismatch in {path}")
+    if role not in ROLE_NAMES:
+        raise ValueError(f"unknown checkpoint role {role} in {path}")
     meta = {"task_index": task_index, "seed": seed, "role": ROLE_NAMES[role]}
     return payload.astype(np.float64), meta
 

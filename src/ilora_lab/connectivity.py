@@ -81,7 +81,10 @@ def weight_distance(theta_a: np.ndarray, theta_b: np.ndarray) -> float:
     """Euclidean distance between two parameter vectors."""
     if theta_a.shape != theta_b.shape:
         raise ValueError("parameter layout mismatch")
-    return float(np.sqrt(np.sum((theta_a - theta_b) ** 2)))
+    dist = float(np.sqrt(np.sum((theta_a - theta_b) ** 2)))
+    if not np.isfinite(dist):
+        raise ArithmeticError("non-finite weight distance")
+    return dist
 
 
 def linear_cka(X: np.ndarray, Y: np.ndarray) -> float:

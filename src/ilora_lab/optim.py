@@ -30,9 +30,6 @@ class AdamState:
                    base_lr=base_lr, warmup_ratio=warmup_ratio,
                    total_steps=total_steps)
 
-    def copy(self) -> "AdamState":
-        return replace(self, m=self.m.copy(), v=self.v.copy())
-
 
 def lr_at(state: AdamState, step: int) -> float:
     """Linear ramp over the first ceil(warmup_ratio * total_steps) steps,
@@ -51,10 +48,9 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray):
         raise ValueError("theta/grad length mismatch")
     if not np.all(np.isfinite(grad)):
         raise ArithmeticError("non-finite gradient, update rejected")
-    new = state.copy()
-    new.step = state.step + 1
-    new.m = state.beta1 * state.m + (1.0 - state.beta1) * grad
-    new.v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
+    new = replace(state, step=state.step + 1,
+                  m=state.beta1 * state.m + (1.0 - state.beta1) * grad,
+                  v=state.beta2 * state.v + (1.0 - state.beta2) * grad * grad)
     mhat = new.m / (1.0 - state.beta1 ** new.step)
     vhat = new.v / (1.0 - state.beta2 ** new.step)
     lr = lr_at(state, new.step)
@@ -68,8 +64,7 @@ def sgd_step(state: AdamState, theta: np.ndarray, grad: np.ndarray):
         raise ValueError("theta/grad length mismatch")
     if not np.all(np.isfinite(grad)):
         raise ArithmeticError("non-finite gradient, update rejected")
-    new = state.copy()
-    new.step = state.step + 1
+    new = replace(state, step=state.step + 1)
     return theta - lr_at(state, new.step) * grad, new
 
 

@@ -303,3 +303,28 @@ class TestNumericFailure:
         assert main([argv[0], str(nan_run), *argv[1:]]) == 4
         assert_one_line_error(capsys, "error: numeric failure: ")
         assert not (nan_run / csv).exists()
+
+    def test_nan_checkpoint_wd_exit_4(self, nan_run, capsys):
+        assert main(["probe", str(nan_run), "wd"]) == 4
+        assert_one_line_error(capsys, "error: numeric failure: ")
+        assert not (nan_run / "wd.csv").exists()
+
+
+class TestCorruptCheckpoint:
+    ROLE_BYTE = 30  # after magic, version, count, task index and seed
+
+    def test_unknown_role_exit_2(self, seq_run, tmp_path, capsys):
+        run = copy_run(seq_run, tmp_path)
+        path = run / "task1_working.bin"
+        raw = bytearray(path.read_bytes())
+        assert raw[self.ROLE_BYTE] == 0  # "working"
+        raw[self.ROLE_BYTE] = 9
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="role"):
+            load_checkpoint(path)
+        for argv, csv in ((["probe", str(run), "wd"], "wd.csv"),
+                          (["sweep-lambda", str(run), "--transition", "1"],
+                           "sweep_t1.csv")):
+            assert main(argv) == 2
+            assert_one_line_error(capsys)
+            assert not (run / csv).exists()

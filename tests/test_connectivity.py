@@ -100,6 +100,12 @@ class TestWeightDistance:
         assert weight_distance(a, c) <= (weight_distance(a, b)
                                          + weight_distance(b, c) + 1e-12)
 
+    def test_non_finite_distance_rejected(self):
+        a = np.array([0.0, 1.0])
+        for b in (np.array([np.nan, 1.0]), np.array([np.inf, 1.0])):
+            with pytest.raises(ArithmeticError):
+                weight_distance(a, b)
+
 
 class TestLinearCka:
     def test_self_similarity(self):

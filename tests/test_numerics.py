@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ilora_lab import RngState, finite_diff_grad, gaussian_fill, matmul
-from ilora_lab.numerics import _VECTOR_MAX_ELEMS
+from ilora_lab.numerics import (_FILL_CHUNK, _JUMP_ROWS, _MASK64,
+                                _XORSHIFT_MULT, _VECTOR_MAX_ELEMS, _box_muller)
 
 
 def triple_loop_matmul(a, b):
@@ -184,6 +185,71 @@ class TestGaussianFill:
     def test_negative_std_rejected(self):
         with pytest.raises(ValueError):
             gaussian_fill(RngState(0), 2, 2, std=-1.0)
+
+
+def gauss_pair_fill(rng, rows, cols, mean=0.0, std=1.0):
+    """The fill done pair by pair through gauss_pair: the reference the bulk
+    path must reproduce byte for byte."""
+    n = rows * cols
+    vals = np.empty(n)
+    for i in range(0, n - 1, 2):
+        vals[i], vals[i + 1] = rng.gauss_pair()
+    if n % 2 == 1:
+        vals[n - 1], _ = rng.gauss_pair()
+    return (mean + std * vals).reshape(rows, cols)
+
+
+class TestBulkGaussianFill:
+    """gaussian_fill's jump-table path against the scalar generator."""
+
+    SEEDS = (0, 1, 2 ** 63, 2 ** 64 - 1)
+    B = _JUMP_ROWS
+
+    def test_next_states_follow_next_u64(self):
+        for seed in self.SEEDS:
+            for count in (0, 1, self.B - 1, self.B, self.B + 1,
+                          2 * self.B + 1):
+                bulk, scalar = RngState(seed), RngState(seed)
+                states = bulk.next_states(count)
+                assert states.dtype == np.uint64 and states.shape == (count,)
+                assert [(s * _XORSHIFT_MULT) & _MASK64
+                        for s in states.tolist()] == \
+                       [scalar.next_u64() for _ in range(count)]
+                assert bulk.next_u64() == scalar.next_u64(), (seed, count)
+
+    def test_fill_bytes_and_final_state_match_gauss_pair(self):
+        B = self.B
+        shapes = [(1, 1), (1, 7), (3, 5), (1, B - 1), (2, B // 2),
+                  (1, B + 1), (1, 2 * B + 1), (2 * B + 1, 1), (17, 31),
+                  (1, _FILL_CHUNK - 1), (3, _FILL_CHUNK + 1)]
+        for seed in self.SEEDS:
+            for rows, cols in shapes:
+                bulk, scalar = RngState(seed), RngState(seed)
+                got = gaussian_fill(bulk, rows, cols, 0.25, 1.5)
+                want = gauss_pair_fill(scalar, rows, cols, 0.25, 1.5)
+                assert got.shape == (rows, cols)
+                assert got.tobytes() == want.tobytes(), (seed, rows, cols)
+                assert bulk.next_u64() == scalar.next_u64(), (seed, rows, cols)
+
+    def test_consecutive_fills_stay_on_the_stream(self):
+        bulk, scalar = RngState(3), RngState(3)
+        for rows, cols in ((5, 3), (1, 1), (64, 16), (2, 2)):
+            assert gaussian_fill(bulk, rows, cols).tobytes() == \
+                   gauss_pair_fill(scalar, rows, cols).tobytes()
+        assert bulk.next_float() == scalar.next_float()
+
+    def test_zero_uniform_is_replaced_as_in_gauss_pair(self):
+        # this state's output is 1, so its top 53 bits, and u1, are zero
+        zero = pow(_XORSHIFT_MULT, -1, 1 << 64)
+        other = 0x0123456789ABCDEF
+        assert (zero * _XORSHIFT_MULT) & _MASK64 == 1
+        rng = RngState(0)
+        outputs = iter([1, (other * _XORSHIFT_MULT) & _MASK64])
+        rng.next_u64 = lambda: next(outputs)
+        want = np.array(rng.gauss_pair())
+        got = _box_muller(np.array([zero, other], dtype=np.uint64))
+        assert np.isfinite(got).all()
+        assert got.tobytes() == want.tobytes()
 
 
 class TestFiniteDiff:

@@ -4,7 +4,7 @@ import pytest
 from ilora_lab import (AdamState, Batch, EwcState, GradRef, RngState,
                        adam_step, agem_project, ema_update, ewc_fisher,
                        ewc_penalty_grad, finite_diff_grad, gaussian_fill,
-                       init_params, loss_and_grad, lr_at)
+                       init_params, loss_and_grad, lr_at, sgd_step)
 from ilora_lab.model import Network
 
 from conftest import make_batch, make_tiny_net, random_theta
@@ -70,6 +70,16 @@ class TestAdam:
         st = AdamState.fresh(1, 1e-2, 0.0, 10)
         with pytest.raises(ArithmeticError):
             adam_step(st, np.array([0.0]), np.array([np.nan]))
+
+    @pytest.mark.parametrize("step", [adam_step, sgd_step])
+    def test_input_state_left_unchanged(self, step):
+        st = AdamState.fresh(3, 1e-2, 0.0, 10)
+        theta = np.array([1.0, -2.0, 0.5])
+        _, st = adam_step(st, theta, np.array([0.3, -0.1, 2.0]))
+        m, v = st.m.copy(), st.v.copy()
+        _, new = step(st, theta, np.array([-1.0, 0.5, 0.25]))
+        assert st.step == 1 and new.step == 2
+        assert st.m.tobytes() == m.tobytes() and st.v.tobytes() == v.tobytes()
 
 
 class TestEma:
