@@ -7,8 +7,8 @@ from .connectivity import (LambdaSweep, LandscapeGrid, default_lambda_grid,
                            interpolate, landscape_grid, linear_cka,
                            sweep_lambda, weight_distance)
 from .metrics import ResultMatrix, acc_t, bwt_t, general_retention
-from .model import (Batch, Network, forward, init_params, loss_and_grad,
-                    param_length, predict_accuracy)
+from .model import (Batch, Network, embed, forward, init_params,
+                    loss_and_grad, param_length, predict_accuracy)
 from .numerics import RngState, finite_diff_grad, gaussian_fill, matmul
 from .optim import (AdamState, EwcState, GradRef, adam_step, agem_project,
                     ema_update, ewc_fisher, ewc_penalty_grad, lr_at, sgd_step)
@@ -21,7 +21,7 @@ __all__ = [
     "LambdaSweep", "LandscapeGrid", "default_lambda_grid", "interpolate",
     "landscape_grid", "linear_cka", "sweep_lambda", "weight_distance",
     "ResultMatrix", "acc_t", "bwt_t", "general_retention",
-    "Batch", "Network", "forward", "init_params", "loss_and_grad",
+    "Batch", "Network", "embed", "forward", "init_params", "loss_and_grad",
     "param_length", "predict_accuracy",
     "RngState", "finite_diff_grad", "gaussian_fill", "matmul",
     "AdamState", "EwcState", "GradRef", "adam_step", "agem_project",

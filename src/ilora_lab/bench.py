@@ -16,7 +16,7 @@ import numpy as np
 
 from .model import (Batch, Network, backbone_from_vector, backbone_loss_and_grad,
                     backbone_vector)
-from .numerics import RngState, gaussian_fill
+from .numerics import RngState, gaussian_fill, skip_gaussian_fill
 from .optim import AdamState, adam_step
 
 
@@ -35,15 +35,22 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class TaskStream:
-    tasks: list[tuple[Batch, Batch, TaskSpec]]
-    anchor: tuple[Batch, Batch]
+    """Per task (train, eval, spec); anchor is task 0's (train, eval). A
+    stream made with ``train_sets=False`` holds None for every train set."""
+
+    tasks: list[tuple[Batch | None, Batch, TaskSpec]]
+    anchor: tuple[Batch | None, Batch]
 
     def __len__(self) -> int:
         return len(self.tasks)
 
     @property
-    def pairs(self) -> list[tuple[Batch, Batch]]:
+    def pairs(self) -> list[tuple[Batch | None, Batch]]:
         return [(tr, ev) for tr, ev, _ in self.tasks]
+
+    @property
+    def evals(self) -> list[Batch]:
+        return [ev for _, ev, _ in self.tasks]
 
 
 def _plane_rotation(d: int, i: int, j: int, angle_rad: float) -> np.ndarray:
@@ -77,10 +84,16 @@ def _sample_task(rng: RngState, means: np.ndarray, spec: TaskSpec,
     return Batch(means[y] + noise, y.astype(np.int64))
 
 
-def make_stream(seed: int, T: int, base_spec: TaskSpec | None = None) -> TaskStream:
+def make_stream(seed: int, T: int, base_spec: TaskSpec | None = None,
+                train_sets: bool = True) -> TaskStream:
     """Deterministic T-task stream. Task 0 is the anchor (no rotation, no
     shift); task t compounds t seeded plane rotations and adds a fresh
-    class-conditional mean shift of the configured magnitude."""
+    class-conditional mean shift of the configured magnitude.
+
+    The first T tasks are the same whatever T is, so a caller that reads
+    tasks 0..t asks for T = t+1. With ``train_sets=False`` the generator
+    jumps over each training set's draws instead of making it (the train
+    entries are None); the eval sets stay byte-identical."""
     if T < 1:
         raise ValueError("T must be >= 1")
     spec = base_spec or TaskSpec()
@@ -105,7 +118,11 @@ def make_stream(seed: int, T: int, base_spec: TaskSpec | None = None) -> TaskStr
             norms = np.sqrt((dirs * dirs).sum(axis=1, keepdims=True))
             shifts = spec.mean_shift * dirs / np.maximum(norms, 1e-12)
             means = (Q @ anchor_means.T).T + shifts
-        train = _sample_task(rng, means, spec, spec.n_train)
+        if train_sets:
+            train = _sample_task(rng, means, spec, spec.n_train)
+        else:
+            train = None
+            skip_gaussian_fill(rng, spec.n_train, d)
         ev = _sample_task(rng, means, spec, spec.n_eval)
         task_spec = replace(spec, task_id=t)
         tasks.append((train, ev, task_spec))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import struct
 import sys
 from pathlib import Path
@@ -31,7 +32,7 @@ from .bench import ArchConfig, TaskSpec, make_stream, pretrain_backbone
 from .connectivity import (default_lambda_grid, landscape_grid, linear_cka,
                            sweep_lambda, weight_distance)
 from .metrics import acc_t, bwt_t, general_retention
-from .model import backbone_from_vector, backbone_vector, forward
+from .model import backbone_from_vector, backbone_vector, embed
 from .numerics import RngState
 from .strategies import StrategyConfig, run_sequence
 
@@ -117,7 +118,7 @@ def validate_config(raw: dict) -> dict:
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
     cfg = {
-        "seed": int(raw.get("seed", 0)),
+        "seed": _check_seed(raw.get("seed", 0)),
         "stream": _merge_block("stream", raw.get("stream", {}), _STREAM_DEFAULTS),
         "arch": _merge_block("arch", raw.get("arch", {}), _ARCH_DEFAULTS),
         "strategy": _merge_block("strategy", raw.get("strategy", {}),
@@ -126,9 +127,23 @@ def validate_config(raw: dict) -> dict:
                                  _TRAINING_DEFAULTS),
         "out_dir": raw.get("out_dir"),
     }
+    tasks = cfg["stream"]["tasks"]
+    if not _is_int(tasks) or tasks < 1:
+        raise ConfigError(f"stream.tasks must be an integer >= 1, got {tasks!r}")
     if cfg["strategy"]["kind"] not in ("SEQ", "ER", "EWC", "AGEM", "MTL", "ILORA"):
         raise ConfigError(f"unknown strategy kind {cfg['strategy']['kind']!r}")
     return cfg
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_seed(seed):
+    """The seed is stored as a u64 in every checkpoint header."""
+    if not _is_int(seed) or not 0 <= seed < 1 << 64:
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return seed
 
 
 def _strategy_config(cfg: dict) -> StrategyConfig:
@@ -175,9 +190,10 @@ def rebuild_environment(cfg: dict):
     return stream, net
 
 
-def load_environment(out: Path, cfg: dict):
-    """Regenerate the stream from a run's config and load the backbone the
-    run saved, instead of pretraining it again."""
+def load_environment(out: Path, cfg: dict, tasks: int):
+    """Load the backbone the run saved, instead of pretraining it again, and
+    regenerate the eval sets of the first ``tasks`` tasks of the run's stream
+    (none for 0); the training sets are skipped, not drawn."""
     path = out / "backbone.bin"
     if not path.exists():
         raise FileNotFoundError(f"missing artifact: {path}")
@@ -189,7 +205,10 @@ def load_environment(out: Path, cfg: dict):
                                    a["alpha"])
     except ValueError as exc:
         raise ConfigError(f"{path} does not match the config: {exc}") from exc
-    return make_stream(cfg["seed"], st["tasks"], _task_spec(cfg)), net
+    if tasks == 0:
+        return [], net
+    stream = make_stream(cfg["seed"], tasks, _task_spec(cfg), train_sets=False)
+    return stream.evals, net
 
 
 # --- output writers ---------------------------------------------------------
@@ -229,7 +248,7 @@ def cmd_run(config_path: str, seed_override: int | None = None,
     try:
         cfg = validate_config(raw)
         if seed_override is not None:
-            cfg["seed"] = seed_override
+            cfg["seed"] = _check_seed(seed_override)
         if out_override is not None:
             cfg["out_dir"] = out_override
         if not cfg["out_dir"]:
@@ -288,6 +307,13 @@ def _load_params(out: Path, t: int, role: str) -> np.ndarray:
     return params
 
 
+def _check_transition(t: int, cfg: dict) -> None:
+    T = cfg["stream"]["tasks"]
+    if not 1 <= t <= T - 1:
+        raise ConfigError(f"transition {t} outside 1..{T - 1} "
+                          f"for a {T}-task run")
+
+
 def _exit_code(command):
     """Wrap a read-side command so its failures end in an exit code and a
     one-line message; success returns EXIT_OK."""
@@ -311,15 +337,13 @@ def _exit_code(command):
 def cmd_sweep_lambda(run_dir: str, transition: int, points: int = 21,
                      role: str = "working") -> None:
     out, cfg = _load_run_dir(run_dir)
+    _check_transition(transition, cfg)
+    grid = default_lambda_grid(points)
     theta_a = _load_params(out, transition, role)
     theta_b = _load_params(out, transition + 1, role)
-    stream, net = load_environment(out, cfg)
-    evals = [ev for _, ev in stream.pairs]
-    if transition + 1 > len(evals):
-        raise ConfigError(f"transition {transition} exceeds task count")
+    evals, net = load_environment(out, cfg, transition + 1)
     sweep = sweep_lambda(theta_a, theta_b, net, evals[:transition],
-                         evals[transition], default_lambda_grid(points),
-                         transition=transition)
+                         evals[transition], grid, transition=transition)
     lines = ["lambda,Ap,An,Aall"]
     for lam, ap, an, aall in zip(sweep.lambda_grid, sweep.Ap, sweep.An,
                                  sweep.Aall):
@@ -331,8 +355,18 @@ def cmd_sweep_lambda(run_dir: str, transition: int, points: int = 21,
 def cmd_probe(run_dir: str, kind: str, transition: int = 1,
               grid_extent: float = 1.5, grid_points: int = 11) -> None:
     out, cfg = _load_run_dir(run_dir)
-    stream, net = load_environment(out, cfg)
-    T = len(stream)
+    if kind not in ("wd", "cka", "landscape"):
+        raise ConfigError(f"unknown probe kind {kind!r}")
+    if kind == "landscape":
+        _check_transition(transition, cfg)
+        if grid_points < 2:
+            raise ConfigError(f"grid points must be >= 2, got {grid_points}")
+        if not (math.isfinite(grid_extent) and grid_extent > 0.0):
+            raise ConfigError(f"grid extent must be finite and > 0, "
+                              f"got {grid_extent}")
+    # wd reads no eval set; cka and landscape read the anchor task's
+    evals, net = load_environment(out, cfg, 0 if kind == "wd" else 1)
+    T = cfg["stream"]["tasks"]
     has_slow = (out / "task1_longterm.bin").exists()
 
     if kind == "wd":
@@ -348,18 +382,15 @@ def cmd_probe(run_dir: str, kind: str, transition: int = 1,
             lines.append(f"{t},{_fmt(ww)},{_fmt(wl)}")
         (out / "wd.csv").write_text("\n".join(lines) + "\n")
     elif kind == "cka":
-        probe = stream.anchor[1]
+        probe = evals[0]
         lines = ["transition,cka"]
         for t in range(1, T):
-            _, za = forward(net, _load_params(out, t, "working"), probe.X)
-            _, zb = forward(net, _load_params(out, t + 1, "working"),
-                            probe.X)
+            za = embed(net, _load_params(out, t, "working"), probe.X)
+            zb = embed(net, _load_params(out, t + 1, "working"), probe.X)
             lines.append(f"{t},{_fmt(linear_cka(za, zb))}")
         (out / "cka.csv").write_text("\n".join(lines) + "\n")
-    elif kind == "landscape":
+    else:
         t = transition
-        if t < 1 or t + 1 > T:
-            raise ConfigError(f"landscape transition {t} out of range")
         theta0 = _load_params(out, t, "working")
         d1 = _load_params(out, t + 1, "working") - theta0
         if has_slow:
@@ -369,15 +400,12 @@ def cmd_probe(run_dir: str, kind: str, transition: int = 1,
                 "missing artifact: longterm checkpoints "
                 "(landscape probe needs a dual-memory run)")
         coords = np.linspace(-grid_extent, grid_extent, grid_points)
-        grid = landscape_grid(theta0, d1, d2, coords, coords, net,
-                              stream.anchor[1])
+        grid = landscape_grid(theta0, d1, d2, coords, coords, net, evals[0])
         lines = ["a,b,value"]
         for i, a in enumerate(grid.a_grid):
             for j, b in enumerate(grid.b_grid):
                 lines.append(f"{_fmt(a)},{_fmt(b)},{_fmt(grid.values[i, j])}")
         (out / "landscape.csv").write_text("\n".join(lines) + "\n")
-    else:
-        raise ConfigError(f"unknown probe kind {kind!r}")
 
 
 def main(argv=None) -> int:

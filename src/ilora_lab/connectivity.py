@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Batch, Network, forward, predict_accuracy
+from .model import Batch, Network, accuracy, embed, forward
 
 
 @dataclass
@@ -57,6 +57,10 @@ def sweep_lambda(theta_t: np.ndarray, theta_t1: np.ndarray, net: Network,
 
     Ap: mean over the past tasks' eval sets; An: the new task; Aall: unweighted
     mean over all t+1 tasks.
+
+    Each lambda runs one forward over the stacked eval sets; matmul is
+    bit-equal to the triple loop, so every row's logits are the ones a
+    forward over its own set would give.
     """
     if grid is None:
         grid = default_lambda_grid()
@@ -67,10 +71,13 @@ def sweep_lambda(theta_t: np.ndarray, theta_t1: np.ndarray, net: Network,
     An = np.empty(len(grid))
     Aall = np.empty(len(grid))
     t = len(past_evals)
+    evals = [*past_evals, new_eval]
+    X = np.concatenate([ev.X for ev in evals])
+    ends = np.cumsum([ev.n for ev in evals])
     for i, lam in enumerate(grid):
-        theta = interpolate(theta_t, theta_t1, float(lam))
-        past = [predict_accuracy(net, theta, ev) for ev in past_evals]
-        new = predict_accuracy(net, theta, new_eval)
+        logits, _ = forward(net, interpolate(theta_t, theta_t1, float(lam)), X)
+        *past, new = [accuracy(logits[end - ev.n:end], ev.y)
+                      for ev, end in zip(evals, ends)]
         Ap[i] = np.mean(past)
         An[i] = new
         Aall[i] = (sum(past) + new) / (t + 1)
@@ -114,13 +121,13 @@ def landscape_grid(theta0: np.ndarray, d1: np.ndarray, d2: np.ndarray,
         raise ValueError("parameter layout mismatch")
     a_grid = np.asarray(a_grid, dtype=np.float64)
     b_grid = np.asarray(b_grid, dtype=np.float64)
-    _, z0 = forward(net, theta0, probe.X)
+    z0 = embed(net, theta0, probe.X)
     values = np.empty((len(a_grid), len(b_grid)))
     for i, a in enumerate(a_grid):
         for j, b in enumerate(b_grid):
             if a == 0.0 and b == 0.0:
                 values[i, j] = 0.0
                 continue
-            _, z = forward(net, theta0 + a * d1 + b * d2, probe.X)
+            z = embed(net, theta0 + a * d1 + b * d2, probe.X)
             values[i, j] = np.mean((z - z0) ** 2)
     return LandscapeGrid(theta0, d1, d2, a_grid, b_grid, values)

@@ -109,22 +109,39 @@ def _effective_weights(net: Network, theta: np.ndarray):
     return W1eff, W2eff
 
 
-def _forward_cached(net: Network, W1eff: np.ndarray, W2eff: np.ndarray,
-                    X: np.ndarray):
-    pre1 = matmul(X, W1eff.T) + net.b1
-    h1 = np.maximum(pre1, 0.0)
+def _embed_cached(net: Network, W1eff: np.ndarray, W2eff: np.ndarray,
+                  X: np.ndarray):
+    """Embedding and hidden activation. The pre-activation is not kept: the
+    ReLU mask the backward pass needs is h1 > 0, which holds exactly where
+    the pre-activation is > 0 (NaN included)."""
+    h1 = matmul(X, W1eff.T)
+    h1 += net.b1
+    np.maximum(h1, 0.0, out=h1)
     z = matmul(h1, W2eff.T) + net.b2
-    logits = matmul(z, net.Whead.T) + net.bhead
-    return logits, z, h1, pre1
+    return z, h1
+
+
+def _head(net: Network, z: np.ndarray) -> np.ndarray:
+    return matmul(z, net.Whead.T) + net.bhead
+
+
+def embed(net: Network, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Pre-head embedding (n x e) for an input batch; the head is not run.
+    Raises ArithmeticError on a non-finite embedding."""
+    if X.shape[1] != net.d:
+        raise ValueError(f"input dim {X.shape[1]} != {net.d}")
+    z, _ = _embed_cached(net, *_effective_weights(net, theta), X)
+    if not np.isfinite(z).all():
+        raise ArithmeticError("non-finite embedding")
+    return z
 
 
 def forward(net: Network, theta: np.ndarray, X: np.ndarray):
     """Logits (n x c) and pre-head embedding (n x e) for an input batch."""
-    if X.shape[1] != net.d:
-        raise ValueError(f"input dim {X.shape[1]} != {net.d}")
-    logits, z, _, _ = _forward_cached(net, *_effective_weights(net, theta), X)
-    if not (np.isfinite(logits).all() and np.isfinite(z).all()):
-        raise ArithmeticError("non-finite logits or embedding")
+    z = embed(net, theta, X)
+    logits = _head(net, z)
+    if not np.isfinite(logits).all():
+        raise ArithmeticError("non-finite logits")
     return logits, z
 
 
@@ -134,7 +151,7 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return ex / ex.sum(axis=1, keepdims=True)
 
 
-def _adapter_grads_from_embedding_grad(net, dz, h1, pre1, X, A1, B1, A2, B2,
+def _adapter_grads_from_embedding_grad(net, dz, h1, X, A1, B1, A2, B2,
                                        W2eff):
     """Backprop an embedding-level gradient dz (n x e) into adapter grads."""
     s = net.scaling
@@ -142,7 +159,7 @@ def _adapter_grads_from_embedding_grad(net, dz, h1, pre1, X, A1, B1, A2, B2,
     dB2 = s * matmul(dW2eff, A2.T)
     dA2 = s * matmul(B2.T, dW2eff)
     dh1 = matmul(dz, W2eff)
-    dpre1 = dh1 * (pre1 > 0.0)
+    dpre1 = dh1 * (h1 > 0.0)
     dW1eff = matmul(dpre1.T, X)
     dB1 = s * matmul(dW1eff, A1.T)
     dA1 = s * matmul(B1.T, dW1eff)
@@ -165,7 +182,8 @@ def loss_and_grad(net: Network, theta: np.ndarray, batch: Batch,
     A1, B1, A2, B2 = split_params(net, theta)
     W1eff, W2eff = _effective_weights(net, theta)
 
-    logits, z, h1, pre1 = _forward_cached(net, W1eff, W2eff, batch.X)
+    z, h1 = _embed_cached(net, W1eff, W2eff, batch.X)
+    logits = _head(net, z)
     n = batch.n
     probs = softmax(logits)
     eps_rows = probs[np.arange(n), batch.y]
@@ -176,17 +194,17 @@ def loss_and_grad(net: Network, theta: np.ndarray, batch: Batch,
     dlogits /= n
     dz = matmul(dlogits, net.Whead)
     dA1, dB1, dA2, dB2 = _adapter_grads_from_embedding_grad(
-        net, dz, h1, pre1, batch.X, A1, B1, A2, B2, W2eff)
+        net, dz, h1, batch.X, A1, B1, A2, B2, W2eff)
 
     if gamma > 0.0:
         if z_target.shape != (mem_batch.n, net.e):
             raise ValueError("z_target shape mismatch")
-        _, zm, h1m, pre1m = _forward_cached(net, W1eff, W2eff, mem_batch.X)
+        zm, h1m = _embed_cached(net, W1eff, W2eff, mem_batch.X)
         diff = zm - z_target
         loss += gamma * float(np.mean(diff * diff))
         dzm = (2.0 * gamma / diff.size) * diff
         mA1, mB1, mA2, mB2 = _adapter_grads_from_embedding_grad(
-            net, dzm, h1m, pre1m, mem_batch.X, A1, B1, A2, B2, W2eff)
+            net, dzm, h1m, mem_batch.X, A1, B1, A2, B2, W2eff)
         dA1 += mA1
         dB1 += mB1
         dA2 += mA2
@@ -197,11 +215,16 @@ def loss_and_grad(net: Network, theta: np.ndarray, batch: Batch,
     return loss, grad
 
 
+def accuracy(logits: np.ndarray, y: np.ndarray) -> float:
+    """Fraction of argmax-correct rows; argmax ties go to the lowest class."""
+    pred = np.argmax(logits, axis=1)  # np.argmax returns the first maximum
+    return float(np.mean(pred == y))
+
+
 def predict_accuracy(net: Network, theta: np.ndarray, eval_batch: Batch) -> float:
     """Fraction of argmax-correct rows; argmax ties go to the lowest class."""
     logits, _ = forward(net, theta, eval_batch.X)
-    pred = np.argmax(logits, axis=1)  # np.argmax returns the first maximum
-    return float(np.mean(pred == eval_batch.y))
+    return accuracy(logits, eval_batch.y)
 
 
 # --- full-network gradients, used only for backbone pretraining -------------
@@ -233,11 +256,8 @@ def backbone_loss_and_grad(net: Network, batch: Batch):
     """Mean CE and its gradient w.r.t. every backbone array (adapters absent)."""
     X, y = batch.X, batch.y
     n = batch.n
-    pre1 = matmul(X, net.W1.T) + net.b1
-    h1 = np.maximum(pre1, 0.0)
-    z = matmul(h1, net.W2.T) + net.b2
-    logits = matmul(z, net.Whead.T) + net.bhead
-    probs = softmax(logits)
+    z, h1 = _embed_cached(net, net.W1, net.W2, X)
+    probs = softmax(_head(net, z))
     loss = float(-np.mean(np.log(probs[np.arange(n), y])))
 
     dlogits = probs.copy()
@@ -249,7 +269,7 @@ def backbone_loss_and_grad(net: Network, batch: Batch):
     dW2 = matmul(dz.T, h1)
     db2 = dz.sum(axis=0)
     dh1 = matmul(dz, net.W2)
-    dpre1 = dh1 * (pre1 > 0.0)
+    dpre1 = dh1 * (h1 > 0.0)
     dW1 = matmul(dpre1.T, X)
     db1 = dpre1.sum(axis=0)
     grad = np.concatenate([dW1.ravel(), db1, dW2.ravel(), db2,

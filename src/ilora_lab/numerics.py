@@ -45,6 +45,12 @@ in the same state. The bulk path:
   products are correctly rounded in both and stay vectorised.
 - the fill runs in chunks of 1,024 states, so its temporaries stay under
   100 KB whatever the matrix size.
+
+``RngState.advance`` skips states without computing them: the state k
+steps after x (k <= 512) is the xor of column k-1 of the jump table over
+the set bits of x, so a skip of n states costs ceil(n/512) such xors and no
+Box-Muller. ``skip_gaussian_fill`` uses it to pass over a fill that is
+never read, e.g. a training set when only eval sets are needed.
 """
 
 from __future__ import annotations
@@ -126,12 +132,27 @@ class RngState:
         x = self._state
         for start in range(0, count, _JUMP_ROWS):
             k = min(_JUMP_ROWS, count - start)
-            bits = [b for b in range(64) if x >> b & 1]
-            block = np.bitwise_xor.reduce(tab[bits, :k], axis=0)
+            block = np.bitwise_xor.reduce(tab[_set_bits(x), :k], axis=0)
             out[start:start + k] = block
             x = int(block[-1])
         self._state = x
         return out
+
+    def advance(self, count: int) -> None:
+        """Skip ``count`` states without computing the ones in between;
+        leaves the generator where ``count`` ``next_u64`` calls would."""
+        if count < 0:
+            raise ValueError("advance requires count >= 0")
+        tab = _jump_table()
+        x = self._state
+        for start in range(0, count, _JUMP_ROWS):
+            k = min(_JUMP_ROWS, count - start)
+            x = int(np.bitwise_xor.reduce(tab[_set_bits(x), k - 1]))
+        self._state = x
+
+
+def _set_bits(x: int) -> list[int]:
+    return [b for b in range(64) if x >> b & 1]
 
 
 @functools.cache
@@ -210,6 +231,13 @@ def _box_muller(states: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fill_states(rows: int, cols: int) -> int:
+    """States a rows x cols fill consumes: whole pairs, so an odd count
+    draws one more."""
+    n = rows * cols
+    return n + n % 2
+
+
 def gaussian_fill(rng: RngState, rows: int, cols: int,
                   mean: float = 0.0, std: float = 1.0) -> np.ndarray:
     """rows x cols matrix of i.i.d. Gaussians via Box-Muller.
@@ -221,12 +249,18 @@ def gaussian_fill(rng: RngState, rows: int, cols: int,
     if std < 0:
         raise ValueError("std must be >= 0")
     n = rows * cols
-    n_states = n + n % 2
+    n_states = _fill_states(rows, cols)
     vals = np.empty(n_states)
     for start in range(0, n_states, _FILL_CHUNK):
         stop = min(start + _FILL_CHUNK, n_states)
         vals[start:stop] = _box_muller(rng.next_states(stop - start))
     return (mean + std * vals[:n]).reshape(rows, cols)
+
+
+def skip_gaussian_fill(rng: RngState, rows: int, cols: int) -> None:
+    """Leave ``rng`` where ``gaussian_fill(rng, rows, cols)`` would, without
+    drawing the values."""
+    rng.advance(_fill_states(rows, cols))
 
 
 def finite_diff_grad(loss_fn, theta: np.ndarray, h: float = 1e-5) -> np.ndarray:

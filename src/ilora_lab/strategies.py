@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import ResultMatrix
-from .model import Batch, Network, forward, init_params, loss_and_grad, \
+from .model import Batch, Network, embed, init_params, loss_and_grad, \
     param_length, predict_accuracy
 from .numerics import RngState
 from .optim import AdamState, EwcState, GradRef, adam_step, agem_project, \
@@ -117,7 +117,7 @@ def ilora_step(state: DualMemoryState, config: StrategyConfig, pool: Batch,
     batch = _draw(pool, config.batch_size, rng)
     if config.gamma > 0.0 and buffer.size > 0:
         mem = buffer.sample(config.batch_size, rng)
-        _, z_target = forward(net, state.theta_l, mem.X)
+        z_target = embed(net, state.theta_l, mem.X)
         _, grad = loss_and_grad(net, state.theta_w, batch,
                                 gamma=config.gamma, mem_batch=mem,
                                 z_target=z_target)

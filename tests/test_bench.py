@@ -60,6 +60,22 @@ class TestStreamConstruction:
         with pytest.raises(ValueError):
             make_stream(0, 0)
 
+    def test_eval_only_walk_matches_full_stream(self):
+        # 33 * 7 values per training set: odd, so a fill's discarded tail
+        # value has to be skipped too
+        spec = TaskSpec(n_train=33, n_eval=20, classes=3, input_dim=7)
+        full = make_stream(11, 5, spec)
+        for T in range(1, 6):
+            short = make_stream(11, T, spec, train_sets=False)
+            assert len(short) == T and short.anchor[0] is None
+            assert all(tr is None for tr, _ in short.pairs)
+            assert [ts for _, _, ts in short.tasks] == \
+                   [ts for _, _, ts in full.tasks[:T]]
+            for ev, ref in zip(short.evals, full.evals[:T], strict=True):
+                assert ev.X.tobytes() == ref.X.tobytes(), T
+                assert ev.y.tobytes() == ref.y.tobytes(), T
+            assert short.anchor[1] is short.evals[0]
+
 
 class TestDrift:
     def test_rotation_step_is_orthogonal(self):

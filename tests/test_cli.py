@@ -144,6 +144,33 @@ class TestRunCommand:
         path = write_config(tmp_path)
         assert main(["run", str(path)]) == 2
 
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, "3", True])
+    def test_bad_seed_exit_2_before_writing(self, tmp_path, capsys, seed):
+        path = write_config(tmp_path, seed=seed)
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert_one_line_error(capsys)
+        assert not out.exists()
+
+    def test_negative_seed_override_exit_2(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out), "--seed=-1"]) == 2
+        assert_one_line_error(capsys)
+        assert not out.exists()
+
+    def test_largest_seed_accepted(self):
+        assert validate_config({"seed": 2 ** 64 - 1})["seed"] == 2 ** 64 - 1
+
+    @pytest.mark.parametrize("tasks", [0, -2, 2.0, "3"])
+    def test_bad_task_count_exit_2_before_writing(self, tmp_path, capsys,
+                                                  tasks):
+        path = write_config(tmp_path, {"stream": {"tasks": tasks}})
+        out = tmp_path / "o"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert_one_line_error(capsys)
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def seq_run(tmp_path_factory):
@@ -189,12 +216,35 @@ class TestSweepCommand:
         assert an1 == predict_accuracy(net, _load_params(out, 3, "working"),
                                        new_eval)
 
-    def test_missing_checkpoint_exit_3(self, seq_run):
-        assert main(["sweep-lambda", str(seq_run), "--transition", "9"]) == 3
+    def test_missing_checkpoint_exit_3(self, seq_run, tmp_path, capsys):
+        run = copy_run(seq_run, tmp_path)
+        (run / "task2_working.bin").unlink()
+        assert main(["sweep-lambda", str(run), "--transition", "1"]) == 3
+        assert_one_line_error(capsys)
+        assert not (run / "sweep_t1.csv").exists()
 
     def test_missing_run_dir_exit_3(self, tmp_path):
         assert main(["sweep-lambda", str(tmp_path / "nope"),
                      "--transition", "1"]) == 3
+
+    @pytest.mark.parametrize("t", ["0", "-1", "3"])  # T = 3: valid are 1, 2
+    def test_transition_out_of_range_exit_2(self, seq_run, capsys,
+                                            monkeypatch, t):
+        nothing_read(monkeypatch)
+        assert main(["sweep-lambda", str(seq_run), f"--transition={t}"]) == 2
+        assert_one_line_error(capsys, "error: transition ")
+        assert not (seq_run / f"sweep_t{t}.csv").exists()
+
+    def test_too_few_points_exit_2(self, seq_run, capsys, monkeypatch):
+        nothing_read(monkeypatch)
+        assert main(["sweep-lambda", str(seq_run), "--transition", "1",
+                     "--points", "1"]) == 2
+        assert_one_line_error(capsys)
+
+    def test_stream_walk_stops_at_the_new_task(self, seq_run, monkeypatch):
+        calls = spy_make_stream(monkeypatch)
+        assert main(["sweep-lambda", str(seq_run), "--transition", "1"]) == 0
+        assert calls == [(2, False)]
 
 
 class TestProbeCommand:
@@ -235,6 +285,56 @@ class TestProbeCommand:
     def test_landscape_needs_dual_memory_exit_3(self, seq_run):
         assert main(["probe", str(seq_run), "landscape"]) == 3
 
+    @pytest.mark.parametrize("flags", [
+        ["--transition=0"], ["--transition=-1"], ["--transition=3"],
+        ["--grid-points", "0"], ["--grid-points", "1"],
+        ["--grid-extent", "nan"], ["--grid-extent", "inf"],
+        ["--grid-extent", "0"], ["--grid-extent=-1.5"],
+    ])
+    def test_landscape_bad_arguments_exit_2(self, ilora_run, capsys,
+                                            monkeypatch, flags):
+        nothing_read(monkeypatch)
+        (ilora_run / "landscape.csv").unlink(missing_ok=True)
+        assert main(["probe", str(ilora_run), "landscape", *flags]) == 2
+        assert_one_line_error(capsys)
+        assert not (ilora_run / "landscape.csv").exists()
+
+    def test_wd_walks_no_stream(self, seq_run, monkeypatch):
+        calls = spy_make_stream(monkeypatch)
+        assert main(["probe", str(seq_run), "wd"]) == 0
+        assert calls == []
+
+    @pytest.mark.parametrize("argv", [["cka"], ["landscape", "--grid-points",
+                                                "3"]])
+    def test_cka_and_landscape_walk_task_0_only(self, ilora_run, monkeypatch,
+                                                argv):
+        calls = spy_make_stream(monkeypatch)
+        assert main(["probe", str(ilora_run), *argv]) == 0
+        assert calls == [(1, False)]
+
+    def test_probes_match_a_full_stream_walk(self, ilora_run, tmp_path):
+        """The eval-only walk changes no output byte: rerun every probe with
+        make_stream forced to draw the whole stream."""
+        from ilora_lab import make_stream
+        commands = (["sweep-lambda", "--transition", "2", "--points", "5"],
+                    ["probe", "cka"],
+                    ["probe", "landscape", "--grid-points", "3"])
+        files = ("sweep_t2.csv", "cka.csv", "landscape.csv")
+        fast = copy_run(ilora_run, tmp_path / "fast")
+        full = copy_run(ilora_run, tmp_path / "full")
+        for argv in commands:
+            assert main([argv[0], str(fast), *argv[1:]]) == 0
+
+        def full_walk(seed, T, spec, train_sets=True):
+            return make_stream(seed, SMALL_CONFIG["stream"]["tasks"], spec)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("ilora_lab.cli.make_stream", full_walk)
+            for argv in commands:
+                assert main([argv[0], str(full), *argv[1:]]) == 0
+        for name in files:
+            assert (fast / name).read_bytes() == (full / name).read_bytes()
+
     def test_unknown_probe_rejected(self, seq_run):
         with pytest.raises(SystemExit):
             main(["probe", str(seq_run), "entropy"])
@@ -253,6 +353,29 @@ def copy_run(run, tmp_path):
 def assert_one_line_error(capsys, prefix="error: "):
     err = capsys.readouterr().err
     assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+def nothing_read(monkeypatch):
+    """Fail the test if the command reads a checkpoint or walks the
+    stream."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("read before the arguments were checked")
+
+    monkeypatch.setattr("ilora_lab.cli.load_checkpoint", refuse)
+    monkeypatch.setattr("ilora_lab.cli.make_stream", refuse)
+
+
+def spy_make_stream(monkeypatch):
+    """Record (T, train_sets) of every stream walk the CLI makes."""
+    from ilora_lab import make_stream
+    calls = []
+
+    def spy(seed, T, spec=None, train_sets=True):
+        calls.append((T, train_sets))
+        return make_stream(seed, T, spec, train_sets)
+
+    monkeypatch.setattr("ilora_lab.cli.make_stream", spy)
+    return calls
 
 
 class TestSavedBackbone:

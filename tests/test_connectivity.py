@@ -74,6 +74,37 @@ class TestSweepLambda:
         sweep = sweep_lambda(theta, theta.copy(), net, past, new)
         assert np.all(sweep.Aall == sweep.Aall[0])
 
+    def test_stacked_forward_matches_per_set_accuracy(self):
+        # the stacked forward (1,820 rows) takes matmul's k loop while each
+        # set alone (up to 1,000 rows) takes the vectorised path
+        net = make_tiny_net()
+        ta = random_theta(net, seed=9, std=0.4)
+        tb = random_theta(net, seed=10, std=0.4)
+        rng = RngState(11)
+        past = [make_batch(rng, n, net.d, net.c) for n in (7, 300, 1000)]
+        new = make_batch(rng, 513, net.d, net.c)
+        grid = default_lambda_grid(6)
+        sweep = sweep_lambda(ta, tb, net, past, new, grid, transition=3)
+        Ap, An, Aall = (np.empty(len(grid)) for _ in range(3))
+        for i, lam in enumerate(grid):
+            theta = interpolate(ta, tb, float(lam))
+            accs = [predict_accuracy(net, theta, ev) for ev in past]
+            An[i] = predict_accuracy(net, theta, new)
+            Ap[i] = np.mean(accs)
+            Aall[i] = (sum(accs) + An[i]) / 4
+        assert sweep.Ap.tobytes() == Ap.tobytes()
+        assert sweep.An.tobytes() == An.tobytes()
+        assert sweep.Aall.tobytes() == Aall.tobytes()
+
+    def test_nan_endpoint_raises(self):
+        net = make_tiny_net()
+        theta = random_theta(net)
+        rng = RngState(12)
+        past = [make_batch(rng, 5, net.d, net.c)]
+        with pytest.raises(ArithmeticError):
+            sweep_lambda(theta, np.full_like(theta, np.nan), net, past,
+                         make_batch(rng, 5, net.d, net.c))
+
     def test_needs_past_tasks(self):
         net = make_tiny_net()
         theta = random_theta(net)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from ilora_lab import (Batch, RngState, finite_diff_grad, forward, gaussian_fill,
-                       init_params, loss_and_grad, param_length,
-                       predict_accuracy)
+from ilora_lab import (Batch, RngState, embed, finite_diff_grad, forward,
+                       gaussian_fill, init_params, loss_and_grad,
+                       param_length, predict_accuracy)
 from ilora_lab.model import join_params, split_params, softmax
 
 from conftest import make_batch, make_tiny_net, random_theta
@@ -172,6 +172,27 @@ class TestPredictAccuracy:
             predict_accuracy(net, theta, Batch(X, np.zeros(4, dtype=np.int64)))
         with pytest.raises(ArithmeticError):
             forward(net, theta, X)
+
+
+class TestEmbed:
+    def test_embedding_matches_forward_byte_for_byte(self):
+        net = make_tiny_net()
+        X = gaussian_fill(RngState(4), 37, net.d)
+        for seed in (1, 2, 3):
+            theta = random_theta(net, seed=seed, std=0.3)
+            _, z = forward(net, theta, X)
+            assert embed(net, theta, X).tobytes() == z.tobytes()
+
+    def test_nan_theta_raises(self):
+        net = make_tiny_net()
+        theta = np.full(param_length(net), np.nan)
+        with pytest.raises(ArithmeticError):
+            embed(net, theta, gaussian_fill(RngState(9), 4, net.d))
+
+    def test_input_dim_checked(self):
+        net = make_tiny_net()
+        with pytest.raises(ValueError):
+            embed(net, random_theta(net), np.zeros((2, net.d + 1)))
 
 
 class TestFiniteness:

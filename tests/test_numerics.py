@@ -3,7 +3,8 @@ import pytest
 
 from ilora_lab import RngState, finite_diff_grad, gaussian_fill, matmul
 from ilora_lab.numerics import (_FILL_CHUNK, _JUMP_ROWS, _MASK64,
-                                _XORSHIFT_MULT, _VECTOR_MAX_ELEMS, _box_muller)
+                                _XORSHIFT_MULT, _VECTOR_MAX_ELEMS, _box_muller,
+                                skip_gaussian_fill)
 
 
 def triple_loop_matmul(a, b):
@@ -250,6 +251,33 @@ class TestBulkGaussianFill:
         got = _box_muller(np.array([zero, other], dtype=np.uint64))
         assert np.isfinite(got).all()
         assert got.tobytes() == want.tobytes()
+
+
+class TestAdvance:
+    """Skipping states through the jump table against stepping over them."""
+
+    SEEDS = (0, 1, 2 ** 63, 2 ** 64 - 1)
+
+    def test_advance_matches_next_u64_calls(self):
+        B = _JUMP_ROWS
+        for seed in self.SEEDS:
+            for count in (0, 1, B - 1, B, B + 1, 2 * B, 2 * B + 1, 70001):
+                jumped, stepped = RngState(seed), RngState(seed)
+                jumped.advance(count)
+                for _ in range(count):
+                    stepped.next_u64()
+                assert jumped.next_u64() == stepped.next_u64(), (seed, count)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError):
+            RngState(0).advance(-1)
+
+    def test_skip_leaves_the_state_a_fill_leaves(self):
+        for rows, cols in ((1, 1), (3, 5), (4, 6), (129, 7), (512, 16)):
+            skipped, filled = RngState(5), RngState(5)
+            skip_gaussian_fill(skipped, rows, cols)
+            gaussian_fill(filled, rows, cols)
+            assert skipped.next_u64() == filled.next_u64(), (rows, cols)
 
 
 class TestFiniteDiff:
