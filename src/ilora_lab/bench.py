@@ -165,8 +165,7 @@ def pretrain_backbone(anchor_train: Batch, arch: ArchConfig, seed: int,
     shape = (d, h, e, c, arch.rank, arch.alpha)
     adam = AdamState.fresh(vec.size, arch.pretrain_lr, 0.2, steps)
     for _ in range(steps):
-        idx = [rng.next_below(n) for _ in range(arch.pretrain_batch)]
-        batch = Batch(anchor_train.X[idx], anchor_train.y[idx])
+        batch = anchor_train.draw(arch.pretrain_batch, rng)
         # adam_step returns a fresh vector, so views into vec stay valid
         _, grad = backbone_loss_and_grad(backbone_from_vector(vec, *shape),
                                          batch)

@@ -24,7 +24,9 @@ import json
 import math
 import struct
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -83,29 +85,47 @@ def load_checkpoint(path):
 
 
 # --- config schema ----------------------------------------------------------
+# Each block's keys, types and defaults are the fields of the dataclass it
+# builds; stream.tasks, the stream length, is the one key of its own.
 
-_STREAM_DEFAULTS = {"tasks": 5, "input_dim": 16, "classes": 4,
-                    "rotation_deg": 25.0, "cluster_std": 0.5,
-                    "mean_shift": 0.5, "class_separation": 2.0,
-                    "n_train": 512, "n_eval": 256}
-_ARCH_DEFAULTS = {"hidden": 32, "embed": 16, "rank": 8, "alpha": 16.0,
-                  "pretrain_epochs": 30, "pretrain_lr": 1e-2,
-                  "pretrain_batch": 16}
-_STRATEGY_DEFAULTS = {"kind": "SEQ", "gamma": 1.0, "lambda_ema": 0.95,
-                      "update_frequency": 1, "lambda_ewc": 100.0, "rho": 0.1,
-                      "deploy_slow": True, "stratified_replay": False}
-_TRAINING_DEFAULTS = {"epochs": 3, "batch_size": 16, "optimizer": "adam",
-                      "base_lr": 1e-2, "warmup_ratio": 0.2}
+_TRAINING = ("epochs", "batch_size", "optimizer", "base_lr", "warmup_ratio")
 
 
-def _merge_block(name: str, block: dict, defaults: dict) -> dict:
+def _fields(cls, keep=lambda name: True) -> dict[str, tuple[type, object]]:
+    types = get_type_hints(cls)
+    return {f.name: (types[f.name], f.default) for f in fields(cls)
+            if keep(f.name)}
+
+
+SCHEMA = {
+    "stream": {"tasks": (int, 5),
+               **_fields(TaskSpec, lambda k: k != "task_id")},
+    "arch": _fields(ArchConfig),
+    "strategy": _fields(StrategyConfig, lambda k: k not in _TRAINING),
+    "training": _fields(StrategyConfig, lambda k: k in _TRAINING),
+}
+# field type -> (accepts a value, what the value must be); bools are no ints
+_TYPE_RULES = {
+    int: (lambda v: _is_int(v) and v >= 1, "an integer >= 1"),
+    float: (lambda v: (_is_int(v) and abs(v) <= sys.float_info.max)
+            or (isinstance(v, float) and math.isfinite(v)), "a finite number"),
+    bool: (lambda v: isinstance(v, bool), "true or false"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
+
+
+def _merge_block(name: str, block: dict, schema: dict) -> dict:
     if not isinstance(block, dict):
         raise ConfigError(f"config block {name!r} must be an object")
-    unknown = set(block) - set(defaults)
+    unknown = set(block) - set(schema)
     if unknown:
         raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}")
-    merged = dict(defaults)
-    merged.update(block)
+    merged = {}
+    for key, (typ, default) in schema.items():
+        value = merged[key] = block.get(key, default)
+        accepts, want = _TYPE_RULES[typ]
+        if not accepts(value):
+            raise ConfigError(f"{name}.{key} must be {want}, got {value!r}")
     return merged
 
 
@@ -113,25 +133,17 @@ def validate_config(raw: dict) -> dict:
     """Strict-schema validation; returns the fully materialized config."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
-    known_top = {"seed", "stream", "arch", "strategy", "training", "out_dir"}
-    unknown = set(raw) - known_top
+    unknown = set(raw) - {"seed", *SCHEMA, "out_dir"}
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-    cfg = {
-        "seed": _check_seed(raw.get("seed", 0)),
-        "stream": _merge_block("stream", raw.get("stream", {}), _STREAM_DEFAULTS),
-        "arch": _merge_block("arch", raw.get("arch", {}), _ARCH_DEFAULTS),
-        "strategy": _merge_block("strategy", raw.get("strategy", {}),
-                                 _STRATEGY_DEFAULTS),
-        "training": _merge_block("training", raw.get("training", {}),
-                                 _TRAINING_DEFAULTS),
-        "out_dir": raw.get("out_dir"),
-    }
-    tasks = cfg["stream"]["tasks"]
-    if not _is_int(tasks) or tasks < 1:
-        raise ConfigError(f"stream.tasks must be an integer >= 1, got {tasks!r}")
-    if cfg["strategy"]["kind"] not in ("SEQ", "ER", "EWC", "AGEM", "MTL", "ILORA"):
-        raise ConfigError(f"unknown strategy kind {cfg['strategy']['kind']!r}")
+    out_dir = raw.get("out_dir")
+    if out_dir is not None and not isinstance(out_dir, str):
+        raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
+    cfg = {"seed": _check_seed(raw.get("seed", 0)),
+           **{name: _merge_block(name, raw.get(name, {}), schema)
+              for name, schema in SCHEMA.items()},
+           "out_dir": out_dir}
+    _strategy_config(cfg)  # StrategyConfig's own checks: kind, ranges
     return cfg
 
 
@@ -147,46 +159,22 @@ def _check_seed(seed):
 
 
 def _strategy_config(cfg: dict) -> StrategyConfig:
-    s, tr = cfg["strategy"], cfg["training"]
     try:
-        return StrategyConfig(kind=s["kind"], epochs=tr["epochs"],
-                              batch_size=tr["batch_size"], gamma=s["gamma"],
-                              lambda_ema=s["lambda_ema"],
-                              update_frequency=s["update_frequency"],
-                              lambda_ewc=s["lambda_ewc"], rho=s["rho"],
-                              optimizer=tr["optimizer"],
-                              base_lr=tr["base_lr"],
-                              warmup_ratio=tr["warmup_ratio"],
-                              deploy_slow=s["deploy_slow"],
-                              stratified_replay=s["stratified_replay"])
+        return StrategyConfig(**cfg["strategy"], **cfg["training"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _task_spec(cfg: dict) -> TaskSpec:
-    st = cfg["stream"]
-    return TaskSpec(n_train=st["n_train"], n_eval=st["n_eval"],
-                    classes=st["classes"], input_dim=st["input_dim"],
-                    cluster_std=st["cluster_std"],
-                    rotation_deg=st["rotation_deg"],
-                    mean_shift=st["mean_shift"],
-                    class_separation=st["class_separation"])
-
-
-def _arch_config(cfg: dict) -> ArchConfig:
-    a = cfg["arch"]
-    return ArchConfig(hidden=a["hidden"], embed=a["embed"], rank=a["rank"],
-                      alpha=a["alpha"], pretrain_epochs=a["pretrain_epochs"],
-                      pretrain_lr=a["pretrain_lr"],
-                      pretrain_batch=a["pretrain_batch"])
+    return TaskSpec(**{k: v for k, v in cfg["stream"].items() if k != "tasks"})
 
 
 def rebuild_environment(cfg: dict):
     """Deterministically regenerate (stream, backbone network) from a config."""
     seed = cfg["seed"]
     stream = make_stream(seed, cfg["stream"]["tasks"], _task_spec(cfg))
-    net = pretrain_backbone(stream.anchor[0], _arch_config(cfg), seed,
-                            classes=cfg["stream"]["classes"])
+    net = pretrain_backbone(stream.anchor[0], ArchConfig(**cfg["arch"]),
+                            seed, classes=cfg["stream"]["classes"])
     return stream, net
 
 
@@ -235,59 +223,63 @@ def write_metrics(path, R, gen_retention: float) -> None:
 
 # --- commands ---------------------------------------------------------------
 
-def cmd_run(config_path: str, seed_override: int | None = None,
-            out_override: str | None = None) -> int:
-    try:
-        raw = json.loads(Path(config_path).read_text())
-    except FileNotFoundError:
-        print(f"error: config file not found: {config_path}", file=sys.stderr)
-        return EXIT_MISSING
-    except json.JSONDecodeError as exc:
-        print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        cfg = validate_config(raw)
-        if seed_override is not None:
-            cfg["seed"] = _check_seed(seed_override)
-        if out_override is not None:
-            cfg["out_dir"] = out_override
-        if not cfg["out_dir"]:
-            raise ConfigError("out_dir is required (config key or --out)")
-        strategy = _strategy_config(cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def _exit_code(command):
+    """Wrap a command so its failures end in an exit code and a one-line
+    message; success returns EXIT_OK."""
+    def run(*args, **kwargs) -> int:
+        try:
+            command(*args, **kwargs)
+        except FileNotFoundError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_MISSING
+        # ConfigError, malformed checkpoints, an output path that is a file
+        except (ValueError, FileExistsError, NotADirectoryError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except ArithmeticError as exc:
+            print(f"error: numeric failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
+        return EXIT_OK
+    return run
 
+
+@_exit_code
+def cmd_run(config_path: str, seed_override: int | None = None,
+            out_override: str | None = None) -> None:
+    path = Path(config_path)
+    if not path.is_file():
+        raise FileNotFoundError(f"config file not found: {config_path}")
+    try:
+        raw = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from None
+    cfg = validate_config(raw)
+    if seed_override is not None:
+        cfg["seed"] = _check_seed(seed_override)
+    if out_override is not None:
+        cfg["out_dir"] = out_override
+    if not cfg["out_dir"]:
+        raise ConfigError("out_dir is required (config key or --out)")
+    strategy = _strategy_config(cfg)
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     (out / "config_echo.json").write_text(json.dumps(cfg, indent=2) + "\n")
 
-    try:
-        stream, net = rebuild_environment(cfg)
-        seed = cfg["seed"]
-        record = run_sequence(strategy, stream.pairs, net, RngState(seed),
-                              seed=seed)
-        R = record.result_matrix
-        write_results_matrix(out / "results_matrix.csv", R)
-        save_checkpoint(out / "backbone.bin", backbone_vector(net), 0, seed,
-                        "backbone")
-        for t, theta in enumerate(record.checkpoints, start=1):
-            save_checkpoint(out / f"task{t}_working.bin", theta, t, seed,
-                            "working")
-        if record.slow_checkpoints is not None:
-            for t, theta in enumerate(record.slow_checkpoints, start=1):
-                save_checkpoint(out / f"task{t}_longterm.bin", theta, t, seed,
-                                "longterm")
-        final = (record.slow_checkpoints[-1]
-                 if record.slow_checkpoints is not None and strategy.deploy_slow
-                 else record.checkpoints[-1])
-        gen = general_retention(net, record.initial_theta, final,
-                                stream.anchor[1])
-        write_metrics(out / "metrics.json", R, gen)
-    except ArithmeticError as exc:
-        print(f"error: numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+    stream, net = rebuild_environment(cfg)
+    seed = cfg["seed"]
+    record = run_sequence(strategy, stream.pairs, net, RngState(seed),
+                          seed=seed)
+    R = record.result_matrix
+    write_results_matrix(out / "results_matrix.csv", R)
+    save_checkpoint(out / "backbone.bin", backbone_vector(net), 0, seed,
+                    "backbone")
+    for role, thetas in (("working", record.checkpoints),
+                         ("longterm", record.slow_checkpoints or [])):
+        for t, theta in enumerate(thetas, start=1):
+            save_checkpoint(out / f"task{t}_{role}.bin", theta, t, seed, role)
+    gen = general_retention(net, record.initial_theta, record.deployed,
+                            stream.anchor[1])
+    write_metrics(out / "metrics.json", R, gen)
 
 
 def _load_run_dir(run_dir: str):
@@ -312,25 +304,6 @@ def _check_transition(t: int, cfg: dict) -> None:
     if not 1 <= t <= T - 1:
         raise ConfigError(f"transition {t} outside 1..{T - 1} "
                           f"for a {T}-task run")
-
-
-def _exit_code(command):
-    """Wrap a read-side command so its failures end in an exit code and a
-    one-line message; success returns EXIT_OK."""
-    def run(*args, **kwargs) -> int:
-        try:
-            command(*args, **kwargs)
-        except FileNotFoundError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_MISSING
-        except ValueError as exc:  # ConfigError and malformed checkpoints
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        except ArithmeticError as exc:
-            print(f"error: numeric failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
-        return EXIT_OK
-    return run
 
 
 @_exit_code

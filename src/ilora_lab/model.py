@@ -70,6 +70,16 @@ class Batch:
     def n(self) -> int:
         return len(self.y)
 
+    @classmethod
+    def concat(cls, batches: list[Batch]) -> Batch:
+        return cls(np.concatenate([b.X for b in batches]),
+                   np.concatenate([b.y for b in batches]))
+
+    def draw(self, count: int, rng: RngState) -> Batch:
+        """`count` rows uniform with replacement, one draw per row."""
+        idx = [rng.next_below(self.n) for _ in range(count)]
+        return Batch(self.X[idx], self.y[idx])
+
 
 def param_length(net: Network) -> int:
     r = net.rank

@@ -15,6 +15,8 @@ class ReplayBuffer:
     rho: float = 0.1
     stratified: bool = False
     stores: list[tuple[np.ndarray, np.ndarray, int]] = field(default_factory=list)
+    # every stored row in store order, rebuilt per ingest; None while empty
+    union: Batch | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.rho <= 1.0:
@@ -22,7 +24,7 @@ class ReplayBuffer:
 
     @property
     def size(self) -> int:
-        return sum(len(y) for _, y, _ in self.stores)
+        return 0 if self.union is None else self.union.n
 
     @property
     def task_ids(self) -> list[int]:
@@ -37,13 +39,11 @@ class ReplayBuffer:
         k = int(self.rho * n)
         if self.rho > 0.0 and n > 0:
             k = max(k, 1)
-        if k == 0:
-            self.stores.append((task_data.X[:0].copy(),
-                                task_data.y[:0].copy(), task_id))
-            return
-        idx = rng.choose_without_replacement(n, k)
-        self.stores.append((task_data.X[idx].copy(),
-                            task_data.y[idx].copy(), task_id))
+        idx = rng.choose_without_replacement(n, k)  # no draw when k == 0
+        self.stores.append((task_data.X[idx], task_data.y[idx], task_id))
+        if k:
+            self.union = Batch.concat([Batch(X, y) for X, y, _ in self.stores
+                                       if len(y)])
 
     def sample(self, batch_size: int, rng: RngState) -> Batch:
         """batch_size rows uniform with replacement over the stored union,
@@ -59,7 +59,4 @@ class ReplayBuffer:
                 rows_x.append(X[j])
                 rows_y.append(y[j])
             return Batch(np.array(rows_x), np.array(rows_y, dtype=np.int64))
-        all_x = np.concatenate([X for X, _, _ in self.stores if len(X)])
-        all_y = np.concatenate([y for _, y, _ in self.stores if len(y)])
-        idx = [rng.next_below(len(all_y)) for _ in range(batch_size)]
-        return Batch(all_x[idx], all_y[idx])
+        return self.union.draw(batch_size, rng)

@@ -171,6 +171,44 @@ class TestRunCommand:
         assert_one_line_error(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides, top", [
+        ({"training": {"epochs": "2"}}, {}),
+        ({"arch": {"rank": 0}}, {}),
+        ({"strategy": {"kind": "ILORA", "gamma": float("nan")}}, {}),
+        ({"training": {"batch_size": True}}, {}),
+        ({"stream": {"n_train": 0}}, {}),
+        ({"training": {"base_lr": float("inf")}}, {}),
+        ({"training": {"base_lr": 10 ** 400}}, {}),
+        ({"strategy": {"deploy_slow": 1}}, {}),
+        ({"training": {"optimizer": None}}, {}),
+        ({}, {"out_dir": 5}),
+    ], ids=["epochs-str", "rank-0", "gamma-nan", "batch-bool", "n_train-0",
+            "base_lr-inf", "base_lr-huge-int", "deploy_slow-int",
+            "optimizer-null", "out_dir-int"])
+    def test_mistyped_value_exit_2_before_writing(self, tmp_path, capsys,
+                                                  monkeypatch, overrides,
+                                                  top):
+        # each field is checked against its dataclass type; out_dir is
+        # taken from the config (no --out), so a bad one is not overridden
+        monkeypatch.chdir(tmp_path)
+        path = write_config(tmp_path, overrides, **{"out_dir": "o", **top})
+        assert main(["run", str(path)]) == 2
+        assert_one_line_error(capsys)
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_float_fields_take_integers(self):
+        cfg = validate_config({"arch": {"alpha": 8},
+                               "strategy": {"gamma": 0}})
+        assert cfg["arch"]["alpha"] == 8 and cfg["strategy"]["gamma"] == 0
+
+    @pytest.mark.parametrize("target", ["taken", "taken/sub"])
+    def test_out_path_through_a_file_exit_2(self, tmp_path, capsys, target):
+        path = write_config(tmp_path)
+        (tmp_path / "taken").write_text("keep")
+        assert main(["run", str(path), "--out", str(tmp_path / target)]) == 2
+        assert_one_line_error(capsys)
+        assert (tmp_path / "taken").read_text() == "keep"
+
 
 @pytest.fixture(scope="module")
 def seq_run(tmp_path_factory):

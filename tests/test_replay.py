@@ -92,6 +92,27 @@ class TestSample:
         frac = batch.y.mean()
         assert abs(frac - 0.5) < 0.03
 
+    def test_union_draw_matches_concatenation_per_call(self):
+        # the union built at ingest draws the bytes that concatenating every
+        # store on each call drew, after each ingest, empty stores included
+        buf = ReplayBuffer()
+        plan = [(0.0, 30), (0.3, 40), (0.0, 25), (0.5, 33), (1.0, 7)]
+        for tid, (rho, n) in enumerate(plan, start=1):
+            buf.rho = rho
+            buf.ingest_task(make_batch(RngState(20 + tid), n, 3, 4), tid,
+                            RngState(30 + tid))
+            if tid == 1:
+                assert buf.size == 0 and buf.union is None
+                continue
+            all_x = np.concatenate([X for X, _, _ in buf.stores if len(X)])
+            all_y = np.concatenate([y for _, y, _ in buf.stores if len(y)])
+            ref_rng, rng = RngState(40 + tid), RngState(40 + tid)
+            idx = [ref_rng.next_below(len(all_y)) for _ in range(19)]
+            got = buf.sample(19, rng)
+            assert got.X.tobytes() == all_x[idx].tobytes()
+            assert got.y.tobytes() == all_y[idx].tobytes()
+            assert rng.next_u64() == ref_rng.next_u64()
+
     def test_requested_size_and_determinism(self):
         data = make_batch(RngState(6), 50, 3, 4)
         buf = ReplayBuffer(rho=0.5)
