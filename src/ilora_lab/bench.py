@@ -39,10 +39,13 @@ class TaskStream:
     stream made with ``train_sets=False`` holds None for every train set."""
 
     tasks: list[tuple[Batch | None, Batch, TaskSpec]]
-    anchor: tuple[Batch | None, Batch]
 
     def __len__(self) -> int:
         return len(self.tasks)
+
+    @property
+    def anchor(self) -> tuple[Batch | None, Batch]:
+        return self.tasks[0][:2]
 
     @property
     def pairs(self) -> list[tuple[Batch | None, Batch]]:
@@ -106,7 +109,6 @@ def make_stream(seed: int, T: int, base_spec: TaskSpec | None = None,
     anchor_means = raw * (spec.class_separation / min(dists)) if dists else raw
 
     tasks = []
-    anchor_pair = None
     Q = np.eye(d)
     angle = math.radians(spec.rotation_deg)
     for t in range(T):
@@ -126,9 +128,7 @@ def make_stream(seed: int, T: int, base_spec: TaskSpec | None = None,
         ev = _sample_task(rng, means, spec, spec.n_eval)
         task_spec = replace(spec, task_id=t)
         tasks.append((train, ev, task_spec))
-        if t == 0:
-            anchor_pair = (train, ev)
-    return TaskStream(tasks=tasks, anchor=anchor_pair)
+    return TaskStream(tasks=tasks)
 
 
 @dataclass(frozen=True)
@@ -143,13 +143,12 @@ class ArchConfig:
 
 
 def pretrain_backbone(anchor_train: Batch, arch: ArchConfig, seed: int,
-                      classes: int | None = None) -> Network:
+                      classes: int) -> Network:
     """Full-parameter training of the plain MLP on the anchor task; the result
     is frozen for every continual run."""
     rng = RngState(seed)
     d = anchor_train.X.shape[1]
-    c = classes if classes is not None else int(anchor_train.y.max()) + 1
-    h, e = arch.hidden, arch.embed
+    c, h, e = classes, arch.hidden, arch.embed
     net = Network(
         W1=gaussian_fill(rng, h, d, 0.0, 1.0 / math.sqrt(d)),
         b1=np.zeros(h),

@@ -1,28 +1,13 @@
 """Config-driven command line: run experiments, interpolation sweeps, and
-diagnostics; persist checkpoints, result matrices, and curves.
+diagnostics over the run directories that `artifacts` writes and reads.
 
 Exit codes: 0 success, 2 config error, 3 missing artifact, 4 numeric failure.
-
-File formats
-------------
-results_matrix.csv   header ``after_task,eval_task,accuracy``; one row per
-                     defined result-matrix entry; numbers use 17 significant
-                     digits so reloads are bit-faithful.
-sweep_t{t}.csv       header ``lambda,Ap,An,Aall``.
-metrics.json         keys ``acc`` (per t), ``bwt`` (from t=2),
-                     ``general_retention``.
-Checkpoints          binary, little-endian: magic ``ILORA1``, u32 format
-                     version, u64 parameter count, u32 task index, u64 seed,
-                     u8 role (0 working, 1 longterm, 2 backbone), then the
-                     payload as float64 in flat parameter order.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
-import struct
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -30,18 +15,19 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .bench import ArchConfig, TaskSpec, make_stream, pretrain_backbone
+# save_checkpoint, load_checkpoint and rebuild_environment stay bound here:
+# callers import them from cli, and the benchmark's tracer finds them here.
+from .artifacts import (SavedRun, claim_run_dir,  # noqa: F401
+                        load_checkpoint, read_echo, read_json,
+                        rebuild_environment, save_checkpoint, write_csv,
+                        write_run)
+from .bench import ArchConfig, TaskSpec
 from .connectivity import (default_lambda_grid, landscape_grid, linear_cka,
                            sweep_lambda, weight_distance)
-from .metrics import acc_t, bwt_t, general_retention
-from .model import backbone_from_vector, backbone_vector, embed
+from .metrics import general_retention
+from .model import embed
 from .numerics import RngState
 from .strategies import StrategyConfig, run_sequence
-
-CHECKPOINT_MAGIC = b"ILORA1"
-CHECKPOINT_VERSION = 1
-ROLE_CODES = {"working": 0, "longterm": 1, "backbone": 2}
-ROLE_NAMES = {v: k for k, v in ROLE_CODES.items()}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -51,37 +37,6 @@ EXIT_NUMERIC = 4
 
 class ConfigError(ValueError):
     pass
-
-
-# --- checkpoint binary format ----------------------------------------------
-
-_HEADER = struct.Struct("<6sIQIQB")
-
-
-def save_checkpoint(path, params: np.ndarray, task_index: int, seed: int,
-                    role: str) -> None:
-    params = np.ascontiguousarray(params, dtype="<f8")
-    header = _HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, params.size,
-                          task_index, seed, ROLE_CODES[role])
-    Path(path).write_bytes(header + params.tobytes())
-
-
-def load_checkpoint(path):
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ValueError(f"truncated checkpoint: {path}")
-    magic, version, count, task_index, seed, role = _HEADER.unpack_from(raw)
-    if magic != CHECKPOINT_MAGIC:
-        raise ValueError(f"bad checkpoint magic in {path}")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    payload = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    if payload.size != count:
-        raise ValueError(f"checkpoint payload size mismatch in {path}")
-    if role not in ROLE_NAMES:
-        raise ValueError(f"unknown checkpoint role {role} in {path}")
-    meta = {"task_index": task_index, "seed": seed, "role": ROLE_NAMES[role]}
-    return payload.astype(np.float64), meta
 
 
 # --- config schema ----------------------------------------------------------
@@ -165,62 +120,6 @@ def _strategy_config(cfg: dict) -> StrategyConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _task_spec(cfg: dict) -> TaskSpec:
-    return TaskSpec(**{k: v for k, v in cfg["stream"].items() if k != "tasks"})
-
-
-def rebuild_environment(cfg: dict):
-    """Deterministically regenerate (stream, backbone network) from a config."""
-    seed = cfg["seed"]
-    stream = make_stream(seed, cfg["stream"]["tasks"], _task_spec(cfg))
-    net = pretrain_backbone(stream.anchor[0], ArchConfig(**cfg["arch"]),
-                            seed, classes=cfg["stream"]["classes"])
-    return stream, net
-
-
-def load_environment(out: Path, cfg: dict, tasks: int):
-    """Load the backbone the run saved, instead of pretraining it again, and
-    regenerate the eval sets of the first ``tasks`` tasks of the run's stream
-    (none for 0); the training sets are skipped, not drawn."""
-    path = out / "backbone.bin"
-    if not path.exists():
-        raise FileNotFoundError(f"missing artifact: {path}")
-    vec, _ = load_checkpoint(path)
-    st, a = cfg["stream"], cfg["arch"]
-    try:
-        net = backbone_from_vector(vec, st["input_dim"], a["hidden"],
-                                   a["embed"], st["classes"], a["rank"],
-                                   a["alpha"])
-    except ValueError as exc:
-        raise ConfigError(f"{path} does not match the config: {exc}") from exc
-    if tasks == 0:
-        return [], net
-    stream = make_stream(cfg["seed"], tasks, _task_spec(cfg), train_sets=False)
-    return stream.evals, net
-
-
-# --- output writers ---------------------------------------------------------
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def write_results_matrix(path, R) -> None:
-    lines = ["after_task,eval_task,accuracy"]
-    for t, j, v in R.defined_entries():
-        lines.append(f"{t},{j},{_fmt(v)}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_metrics(path, R, gen_retention: float) -> None:
-    payload = {
-        "acc": [acc_t(R, t) for t in range(1, R.T + 1)],
-        "bwt": [bwt_t(R, t) for t in range(2, R.T + 1)],
-        "general_retention": gen_retention,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
 # --- commands ---------------------------------------------------------------
 
 def _exit_code(command):
@@ -229,10 +128,10 @@ def _exit_code(command):
     def run(*args, **kwargs) -> int:
         try:
             command(*args, **kwargs)
-        except FileNotFoundError as exc:
+        except (FileNotFoundError, IsADirectoryError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_MISSING
-        # ConfigError, malformed checkpoints, an output path that is a file
+        # ConfigError, bad or foreign checkpoints, an output path in use
         except (ValueError, FileExistsError, NotADirectoryError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
@@ -246,14 +145,7 @@ def _exit_code(command):
 @_exit_code
 def cmd_run(config_path: str, seed_override: int | None = None,
             out_override: str | None = None) -> None:
-    path = Path(config_path)
-    if not path.is_file():
-        raise FileNotFoundError(f"config file not found: {config_path}")
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
-    cfg = validate_config(raw)
+    cfg = validate_config(read_json(config_path))
     if seed_override is not None:
         cfg["seed"] = _check_seed(seed_override)
     if out_override is not None:
@@ -262,41 +154,12 @@ def cmd_run(config_path: str, seed_override: int | None = None,
         raise ConfigError("out_dir is required (config key or --out)")
     strategy = _strategy_config(cfg)
     out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config_echo.json").write_text(json.dumps(cfg, indent=2) + "\n")
-
+    claim_run_dir(out)
     stream, net = rebuild_environment(cfg)
-    seed = cfg["seed"]
-    record = run_sequence(strategy, stream.pairs, net, RngState(seed),
-                          seed=seed)
-    R = record.result_matrix
-    write_results_matrix(out / "results_matrix.csv", R)
-    save_checkpoint(out / "backbone.bin", backbone_vector(net), 0, seed,
-                    "backbone")
-    for role, thetas in (("working", record.checkpoints),
-                         ("longterm", record.slow_checkpoints or [])):
-        for t, theta in enumerate(thetas, start=1):
-            save_checkpoint(out / f"task{t}_{role}.bin", theta, t, seed, role)
+    record = run_sequence(strategy, stream.pairs, net, RngState(cfg["seed"]))
     gen = general_retention(net, record.initial_theta, record.deployed,
                             stream.anchor[1])
-    write_metrics(out / "metrics.json", R, gen)
-
-
-def _load_run_dir(run_dir: str):
-    out = Path(run_dir)
-    echo = out / "config_echo.json"
-    if not echo.exists():
-        raise FileNotFoundError(f"missing artifact: {echo}")
-    cfg = validate_config(json.loads(echo.read_text()))
-    return out, cfg
-
-
-def _load_params(out: Path, t: int, role: str) -> np.ndarray:
-    path = out / f"task{t}_{role}.bin"
-    if not path.exists():
-        raise FileNotFoundError(f"missing artifact: {path}")
-    params, _ = load_checkpoint(path)
-    return params
+    write_run(out, cfg, net, record, gen)
 
 
 def _check_transition(t: int, cfg: dict) -> None:
@@ -309,27 +172,23 @@ def _check_transition(t: int, cfg: dict) -> None:
 @_exit_code
 def cmd_sweep_lambda(run_dir: str, transition: int, points: int = 21,
                      role: str = "working") -> None:
-    out, cfg = _load_run_dir(run_dir)
+    cfg = validate_config(read_echo(run_dir))
     _check_transition(transition, cfg)
     grid = default_lambda_grid(points)
-    theta_a = _load_params(out, transition, role)
-    theta_b = _load_params(out, transition + 1, role)
-    evals, net = load_environment(out, cfg, transition + 1)
-    sweep = sweep_lambda(theta_a, theta_b, net, evals[:transition],
-                         evals[transition], grid, transition=transition)
-    lines = ["lambda,Ap,An,Aall"]
-    for lam, ap, an, aall in zip(sweep.lambda_grid, sweep.Ap, sweep.An,
-                                 sweep.Aall):
-        lines.append(f"{_fmt(lam)},{_fmt(ap)},{_fmt(an)},{_fmt(aall)}")
-    (out / f"sweep_t{transition}.csv").write_text("\n".join(lines) + "\n")
+    run = SavedRun(run_dir, cfg)
+    theta_a = run.params(transition, role)
+    theta_b = run.params(transition + 1, role)
+    *past, new = run.evals(transition + 1)
+    sweep = sweep_lambda(theta_a, theta_b, run.net, past, new, grid,
+                         transition=transition)
+    write_csv(run.out / f"sweep_t{transition}.csv", "lambda,Ap,An,Aall",
+              zip(sweep.lambda_grid, sweep.Ap, sweep.An, sweep.Aall))
 
 
 @_exit_code
 def cmd_probe(run_dir: str, kind: str, transition: int = 1,
               grid_extent: float = 1.5, grid_points: int = 11) -> None:
-    out, cfg = _load_run_dir(run_dir)
-    if kind not in ("wd", "cka", "landscape"):
-        raise ConfigError(f"unknown probe kind {kind!r}")
+    cfg = validate_config(read_echo(run_dir))
     if kind == "landscape":
         _check_transition(transition, cfg)
         if grid_points < 2:
@@ -337,48 +196,35 @@ def cmd_probe(run_dir: str, kind: str, transition: int = 1,
         if not (math.isfinite(grid_extent) and grid_extent > 0.0):
             raise ConfigError(f"grid extent must be finite and > 0, "
                               f"got {grid_extent}")
-    # wd reads no eval set; cka and landscape read the anchor task's
-    evals, net = load_environment(out, cfg, 0 if kind == "wd" else 1)
+    run = SavedRun(run_dir, cfg)
     T = cfg["stream"]["tasks"]
-    has_slow = (out / "task1_longterm.bin").exists()
 
     if kind == "wd":
-        lines = ["transition,WD_w,WD_l"]
+        rows = []
         for t in range(1, T):
-            ww = weight_distance(_load_params(out, t, "working"),
-                                 _load_params(out, t + 1, "working"))
-            if has_slow:
-                wl = weight_distance(_load_params(out, t, "longterm"),
-                                     _load_params(out, t + 1, "longterm"))
-            else:
-                wl = ww  # single-memory run: deployed == working
-            lines.append(f"{t},{_fmt(ww)},{_fmt(wl)}")
-        (out / "wd.csv").write_text("\n".join(lines) + "\n")
+            wd = [weight_distance(run.params(t, r), run.params(t + 1, r))
+                  for r in run.roles]
+            rows.append((t, wd[0], wd[-1]))  # single memory: WD_l is WD_w
+        write_csv(run.out / "wd.csv", "transition,WD_w,WD_l", rows)
     elif kind == "cka":
-        probe = evals[0]
-        lines = ["transition,cka"]
+        probe = run.evals(1)[0]
+        rows = []
         for t in range(1, T):
-            za = embed(net, _load_params(out, t, "working"), probe.X)
-            zb = embed(net, _load_params(out, t + 1, "working"), probe.X)
-            lines.append(f"{t},{_fmt(linear_cka(za, zb))}")
-        (out / "cka.csv").write_text("\n".join(lines) + "\n")
+            za = embed(run.net, run.params(t, "working"), probe.X)
+            zb = embed(run.net, run.params(t + 1, "working"), probe.X)
+            rows.append((t, linear_cka(za, zb)))
+        write_csv(run.out / "cka.csv", "transition,cka", rows)
     else:
         t = transition
-        theta0 = _load_params(out, t, "working")
-        d1 = _load_params(out, t + 1, "working") - theta0
-        if has_slow:
-            d2 = _load_params(out, t + 1, "longterm") - theta0
-        else:
-            raise FileNotFoundError(
-                "missing artifact: longterm checkpoints "
-                "(landscape probe needs a dual-memory run)")
+        theta0 = run.params(t, "working")
+        d1 = run.params(t + 1, "working") - theta0
+        d2 = run.params(t + 1, "longterm") - theta0
         coords = np.linspace(-grid_extent, grid_extent, grid_points)
-        grid = landscape_grid(theta0, d1, d2, coords, coords, net, evals[0])
-        lines = ["a,b,value"]
-        for i, a in enumerate(grid.a_grid):
-            for j, b in enumerate(grid.b_grid):
-                lines.append(f"{_fmt(a)},{_fmt(b)},{_fmt(grid.values[i, j])}")
-        (out / "landscape.csv").write_text("\n".join(lines) + "\n")
+        grid = landscape_grid(theta0, d1, d2, coords, coords, run.net,
+                              run.evals(1)[0])
+        write_csv(run.out / "landscape.csv", "a,b,value",
+                  [(a, b, v) for a, row in zip(grid.a_grid, grid.values)
+                   for b, v in zip(grid.b_grid, row)])
 
 
 def main(argv=None) -> int:

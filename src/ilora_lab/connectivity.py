@@ -22,9 +22,6 @@ class LambdaSweep:
 
 @dataclass
 class LandscapeGrid:
-    theta0: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
     a_grid: np.ndarray
     b_grid: np.ndarray
     values: np.ndarray
@@ -130,4 +127,4 @@ def landscape_grid(theta0: np.ndarray, d1: np.ndarray, d2: np.ndarray,
                 continue
             z = embed(net, theta0 + a * d1 + b * d2, probe.X)
             values[i, j] = np.mean((z - z0) ** 2)
-    return LandscapeGrid(theta0, d1, d2, a_grid, b_grid, values)
+    return LandscapeGrid(a_grid, b_grid, values)

@@ -99,8 +99,9 @@ def split_params(net: Network, theta: np.ndarray):
             theta[o1:o2].reshape(r, h), theta[o2:].reshape(e, r))
 
 
-def join_params(A1, B1, A2, B2) -> np.ndarray:
-    return np.concatenate([A1.ravel(), B1.ravel(), A2.ravel(), B2.ravel()])
+def join_params(*arrays: np.ndarray) -> np.ndarray:
+    """Flattened and concatenated in order: every flat parameter vector."""
+    return np.concatenate([a.ravel() for a in arrays])
 
 
 def init_params(net: Network, rng: RngState) -> np.ndarray:
@@ -161,19 +162,31 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return ex / ex.sum(axis=1, keepdims=True)
 
 
+def _head_loss(net: Network, z: np.ndarray, y: np.ndarray):
+    """Mean CE of the head on embeddings z, with its gradients in logits, z."""
+    n = len(y)
+    rows = np.arange(n)
+    dlogits = softmax(_head(net, z))
+    loss = float(-np.mean(np.log(dlogits[rows, y])))
+    dlogits[rows, y] -= 1.0
+    dlogits /= n
+    return loss, dlogits, matmul(dlogits, net.Whead)
+
+
+def _hidden_backward(dz, h1, X, W2):
+    """Backprop dz (n x e) through W2, ReLU and layer 1: dW1, dW2, dpre1."""
+    dW2 = matmul(dz.T, h1)
+    dpre1 = matmul(dz, W2) * (h1 > 0.0)
+    return matmul(dpre1.T, X), dW2, dpre1
+
+
 def _adapter_grads_from_embedding_grad(net, dz, h1, X, A1, B1, A2, B2,
                                        W2eff):
     """Backprop an embedding-level gradient dz (n x e) into adapter grads."""
     s = net.scaling
-    dW2eff = matmul(dz.T, h1)
-    dB2 = s * matmul(dW2eff, A2.T)
-    dA2 = s * matmul(B2.T, dW2eff)
-    dh1 = matmul(dz, W2eff)
-    dpre1 = dh1 * (h1 > 0.0)
-    dW1eff = matmul(dpre1.T, X)
-    dB1 = s * matmul(dW1eff, A1.T)
-    dA1 = s * matmul(B1.T, dW1eff)
-    return dA1, dB1, dA2, dB2
+    dW1eff, dW2eff, _ = _hidden_backward(dz, h1, X, W2eff)
+    return (s * matmul(B1.T, dW1eff), s * matmul(dW1eff, A1.T),
+            s * matmul(B2.T, dW2eff), s * matmul(dW2eff, A2.T))
 
 
 def _check_finite(loss: float, grad: np.ndarray) -> None:
@@ -193,16 +206,7 @@ def loss_and_grad(net: Network, theta: np.ndarray, batch: Batch,
     W1eff, W2eff = _effective_weights(net, theta)
 
     z, h1 = _embed_cached(net, W1eff, W2eff, batch.X)
-    logits = _head(net, z)
-    n = batch.n
-    probs = softmax(logits)
-    eps_rows = probs[np.arange(n), batch.y]
-    loss = float(-np.mean(np.log(eps_rows)))
-
-    dlogits = probs.copy()
-    dlogits[np.arange(n), batch.y] -= 1.0
-    dlogits /= n
-    dz = matmul(dlogits, net.Whead)
+    loss, _, dz = _head_loss(net, z, batch.y)
     dA1, dB1, dA2, dB2 = _adapter_grads_from_embedding_grad(
         net, dz, h1, batch.X, A1, B1, A2, B2, W2eff)
 
@@ -213,12 +217,11 @@ def loss_and_grad(net: Network, theta: np.ndarray, batch: Batch,
         diff = zm - z_target
         loss += gamma * float(np.mean(diff * diff))
         dzm = (2.0 * gamma / diff.size) * diff
-        mA1, mB1, mA2, mB2 = _adapter_grads_from_embedding_grad(
-            net, dzm, h1m, mem_batch.X, A1, B1, A2, B2, W2eff)
-        dA1 += mA1
-        dB1 += mB1
-        dA2 += mA2
-        dB2 += mB2
+        for g, mg in zip((dA1, dB1, dA2, dB2),
+                         _adapter_grads_from_embedding_grad(
+                             net, dzm, h1m, mem_batch.X, A1, B1, A2, B2,
+                             W2eff)):
+            g += mg
 
     grad = join_params(dA1, dB1, dA2, dB2)
     _check_finite(loss, grad)
@@ -240,8 +243,7 @@ def predict_accuracy(net: Network, theta: np.ndarray, eval_batch: Batch) -> floa
 # --- full-network gradients, used only for backbone pretraining -------------
 
 def backbone_vector(net: Network) -> np.ndarray:
-    return np.concatenate([net.W1.ravel(), net.b1, net.W2.ravel(), net.b2,
-                           net.Whead.ravel(), net.bhead])
+    return join_params(net.W1, net.b1, net.W2, net.b2, net.Whead, net.bhead)
 
 
 def backbone_from_vector(vec: np.ndarray, d: int, h: int, e: int, c: int,
@@ -264,25 +266,10 @@ def backbone_from_vector(vec: np.ndarray, d: int, h: int, e: int, c: int,
 
 def backbone_loss_and_grad(net: Network, batch: Batch):
     """Mean CE and its gradient w.r.t. every backbone array (adapters absent)."""
-    X, y = batch.X, batch.y
-    n = batch.n
-    z, h1 = _embed_cached(net, net.W1, net.W2, X)
-    probs = softmax(_head(net, z))
-    loss = float(-np.mean(np.log(probs[np.arange(n), y])))
-
-    dlogits = probs.copy()
-    dlogits[np.arange(n), y] -= 1.0
-    dlogits /= n
-    dWhead = matmul(dlogits.T, z)
-    dbhead = dlogits.sum(axis=0)
-    dz = matmul(dlogits, net.Whead)
-    dW2 = matmul(dz.T, h1)
-    db2 = dz.sum(axis=0)
-    dh1 = matmul(dz, net.W2)
-    dpre1 = dh1 * (h1 > 0.0)
-    dW1 = matmul(dpre1.T, X)
-    db1 = dpre1.sum(axis=0)
-    grad = np.concatenate([dW1.ravel(), db1, dW2.ravel(), db2,
-                           dWhead.ravel(), dbhead])
+    z, h1 = _embed_cached(net, net.W1, net.W2, batch.X)
+    loss, dlogits, dz = _head_loss(net, z, batch.y)
+    dW1, dW2, dpre1 = _hidden_backward(dz, h1, batch.X, net.W2)
+    grad = join_params(dW1, dpre1.sum(axis=0), dW2, dz.sum(axis=0),
+                       matmul(dlogits.T, z), dlogits.sum(axis=0))
     _check_finite(loss, grad)
     return loss, grad

@@ -79,8 +79,7 @@ class RngState:
     """xorshift64* generator; single-owner mutable, no platform entropy."""
 
     def __init__(self, seed: int):
-        self.seed = seed & _MASK64
-        state = _splitmix64(self.seed)
+        state = _splitmix64(seed & _MASK64)
         if state == 0:
             state = _SPLITMIX_GAMMA
         self._state = state

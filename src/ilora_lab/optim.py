@@ -8,6 +8,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .connectivity import interpolate
 from .model import Batch, Network, loss_and_grad
 
 
@@ -69,16 +70,9 @@ def sgd_step(state: AdamState, theta: np.ndarray, grad: np.ndarray):
 
 
 def ema_update(theta_l: np.ndarray, theta_w: np.ndarray, lam: float) -> np.ndarray:
-    """Slow-learner update: lam * theta_l + (1 - lam) * theta_w."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must lie in [0, 1]")
-    if theta_l.shape != theta_w.shape:
-        raise ValueError("parameter length mismatch")
-    if lam == 0.0:
-        return theta_w.copy()
-    if lam == 1.0:
-        return theta_l.copy()
-    return lam * theta_l + (1.0 - lam) * theta_w
+    """Slow-learner update lam * theta_l + (1 - lam) * theta_w: the same
+    bytes as interpolating from theta_w to theta_l, as addition commutes."""
+    return interpolate(theta_w, theta_l, lam)
 
 
 @dataclass

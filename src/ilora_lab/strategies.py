@@ -33,6 +33,8 @@ from .replay import ReplayBuffer
 
 KINDS = ("SEQ", "ER", "EWC", "AGEM", "MTL", "ILORA")
 REPLAY_KINDS = ("ER", "AGEM", "ILORA")
+# EWC's Fisher is estimated on at most this many leading rows of each task.
+FISHER_SAMPLE_CAP = 256
 
 
 @dataclass
@@ -88,8 +90,6 @@ class RunRecord:
     checkpoints: list[np.ndarray]
     slow_checkpoints: list[np.ndarray] | None
     result_matrix: ResultMatrix
-    seed: int | None
-    config: StrategyConfig
     initial_theta: np.ndarray | None = None
     deployed: np.ndarray | None = None  # deployed after the last task
 
@@ -150,8 +150,7 @@ def train_task(state: DualMemoryState, config: StrategyConfig, data: Batch,
 
 
 def run_sequence(config: StrategyConfig, stream: list[tuple[Batch, Batch]],
-                 net: Network, rng: RngState, seed: int | None = None,
-                 fisher_sample_cap: int = 256) -> RunRecord:
+                 net: Network, rng: RngState) -> RunRecord:
     """Full continual run: adapters initialized from rng, one training phase
     per task, result matrix rows filled with the deployed parameters after
     each. MTL trains one phase on the union of all tasks for the sum of their
@@ -185,8 +184,8 @@ def run_sequence(config: StrategyConfig, stream: list[tuple[Batch, Batch]],
         if buffer is not None:
             buffer.ingest_task(train, rows[-1], rng)
         if config.kind == "EWC" and config.lambda_ewc > 0.0:
-            cap = min(train.n, fisher_sample_cap)
-            subset = Batch(train.X[:cap], train.y[:cap])
+            subset = Batch(train.X[:FISHER_SAMPLE_CAP],
+                           train.y[:FISHER_SAMPLE_CAP])
             fisher = ewc_fisher(net, theta, subset)
             ewc_states.append(EwcState(theta.copy(), fisher, config.lambda_ewc))
 
@@ -200,5 +199,5 @@ def run_sequence(config: StrategyConfig, stream: list[tuple[Batch, Batch]],
             for j in range(1, t + 1):
                 R.set(t, j, accs[j - 1])
 
-    return RunRecord(checkpoints, slow_checkpoints if ilora else None,
-                     R, seed, config, theta0, deployed)
+    return RunRecord(checkpoints, slow_checkpoints if ilora else None, R,
+                     theta0, deployed)

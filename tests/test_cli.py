@@ -1,5 +1,7 @@
 import json
+import os
 import shutil
+import stat
 
 import numpy as np
 import pytest
@@ -210,6 +212,90 @@ class TestRunCommand:
         assert (tmp_path / "taken").read_text() == "keep"
 
 
+def tree_bytes(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestRunDirectory:
+    """`run` builds the run directory in a hidden sibling and renames it
+    into place: --out holds a complete run or does not exist."""
+
+    def test_non_empty_out_refused_exit_2(self, tmp_path, capsys,
+                                          monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained into a non-empty --out")
+
+        monkeypatch.setattr("ilora_lab.cli.run_sequence", no_training)
+        path = write_config(tmp_path)
+        out = tmp_path / "o"
+        (out / "sub").mkdir(parents=True)
+        (out / "keep.txt").write_text("keep")
+        (out / "sub" / "task1_working.bin").write_bytes(b"old run")
+        before = tree_bytes(out)
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert_one_line_error(capsys, "error: output path ")
+        assert tree_bytes(out) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json",
+                                                              "o"]
+
+    def test_out_absent_while_training(self, tmp_path, monkeypatch):
+        from ilora_lab.strategies import run_sequence
+        out = tmp_path / "o"
+        seen = []
+
+        def checked(*args, **kwargs):
+            seen.append(out.exists())
+            return run_sequence(*args, **kwargs)
+
+        monkeypatch.setattr("ilora_lab.cli.run_sequence", checked)
+        path = write_config(tmp_path)
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        assert seen == [False]
+        assert (out / "metrics.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json",
+                                                              "o"]
+
+    # a failure while training, and one after some files are written
+    @pytest.mark.parametrize("target", ["ilora_lab.cli.run_sequence",
+                                        "ilora_lab.artifacts.save_checkpoint"])
+    def test_training_error_leaves_nothing_exit_4(self, tmp_path, capsys,
+                                                  monkeypatch, target):
+        def diverge(*args, **kwargs):
+            raise ArithmeticError("non-finite gradient, update rejected")
+
+        monkeypatch.setattr(target, diverge)
+        path = write_config(tmp_path)
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 4
+        assert_one_line_error(capsys, "error: numeric failure: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("cwd, arg", [(".", "o"), ("o", ".")])
+    def test_empty_out_is_filled(self, tmp_path, monkeypatch, cwd, arg):
+        path = write_config(tmp_path)
+        out = tmp_path / "o"
+        out.mkdir()
+        monkeypatch.chdir(tmp_path / cwd)
+        assert main(["run", str(path), "--out", arg]) == 0
+        assert (out / "config_echo.json").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json",
+                                                              "o"]
+
+    def test_mode_matches_mkdir(self, tmp_path):
+        path = write_config(tmp_path)
+        old = os.umask(0o027)
+        try:
+            (tmp_path / "ref").mkdir()
+            assert main(["run", str(path), "--out",
+                         str(tmp_path / "o")]) == 0
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE((tmp_path / "o").stat().st_mode)
+        assert mode == stat.S_IMODE((tmp_path / "ref").stat().st_mode)
+        assert mode == 0o750
+
+
 @pytest.fixture(scope="module")
 def seq_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("seqrun")
@@ -239,19 +325,20 @@ class TestSweepCommand:
         assert float(first[0]) == 0.0 and float(last[0]) == 1.0
 
     def test_sweep_endpoints_match_checkpoint_accuracy(self, seq_run):
-        from ilora_lab.cli import (_load_run_dir, _load_params,
-                                   rebuild_environment)
+        from ilora_lab.artifacts import SavedRun, read_echo
+        from ilora_lab.cli import rebuild_environment, validate_config
         from ilora_lab import predict_accuracy
         assert main(["sweep-lambda", str(seq_run), "--transition", "2"]) == 0
-        out, cfg = _load_run_dir(str(seq_run))
+        cfg = validate_config(read_echo(seq_run))
+        run = SavedRun(seq_run, cfg)
         stream, net = rebuild_environment(cfg)
         rows = (seq_run / "sweep_t2.csv").read_text().strip().split("\n")[1:]
         an0 = float(rows[0].split(",")[2])
         an1 = float(rows[-1].split(",")[2])
         new_eval = stream.pairs[2][1]
-        assert an0 == predict_accuracy(net, _load_params(out, 2, "working"),
+        assert an0 == predict_accuracy(net, run.params(2, "working"),
                                        new_eval)
-        assert an1 == predict_accuracy(net, _load_params(out, 3, "working"),
+        assert an1 == predict_accuracy(net, run.params(3, "working"),
                                        new_eval)
 
     def test_missing_checkpoint_exit_3(self, seq_run, tmp_path, capsys):
@@ -264,6 +351,17 @@ class TestSweepCommand:
     def test_missing_run_dir_exit_3(self, tmp_path):
         assert main(["sweep-lambda", str(tmp_path / "nope"),
                      "--transition", "1"]) == 3
+
+    @pytest.mark.parametrize("name", ["config_echo.json", "backbone.bin",
+                                      "task2_working.bin"])
+    def test_directory_in_place_of_a_file_exit_3(self, seq_run, tmp_path,
+                                                 capsys, name):
+        run = copy_run(seq_run, tmp_path)
+        (run / name).unlink()
+        (run / name).mkdir()
+        assert main(["sweep-lambda", str(run), "--transition", "1"]) == 3
+        assert_one_line_error(capsys)
+        assert not (run / "sweep_t1.csv").exists()
 
     @pytest.mark.parametrize("t", ["0", "-1", "3"])  # T = 3: valid are 1, 2
     def test_transition_out_of_range_exit_2(self, seq_run, capsys,
@@ -367,7 +465,7 @@ class TestProbeCommand:
             return make_stream(seed, SMALL_CONFIG["stream"]["tasks"], spec)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("ilora_lab.cli.make_stream", full_walk)
+            mp.setattr("ilora_lab.artifacts.make_stream", full_walk)
             for argv in commands:
                 assert main([argv[0], str(full), *argv[1:]]) == 0
         for name in files:
@@ -399,8 +497,8 @@ def nothing_read(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("read before the arguments were checked")
 
-    monkeypatch.setattr("ilora_lab.cli.load_checkpoint", refuse)
-    monkeypatch.setattr("ilora_lab.cli.make_stream", refuse)
+    monkeypatch.setattr("ilora_lab.artifacts.load_checkpoint", refuse)
+    monkeypatch.setattr("ilora_lab.artifacts.make_stream", refuse)
 
 
 def spy_make_stream(monkeypatch):
@@ -412,7 +510,7 @@ def spy_make_stream(monkeypatch):
         calls.append((T, train_sets))
         return make_stream(seed, T, spec, train_sets)
 
-    monkeypatch.setattr("ilora_lab.cli.make_stream", spy)
+    monkeypatch.setattr("ilora_lab.artifacts.make_stream", spy)
     return calls
 
 
@@ -421,7 +519,8 @@ class TestSavedBackbone:
         def no_pretrain(*args, **kwargs):
             raise AssertionError("probe pretrained the backbone again")
 
-        monkeypatch.setattr("ilora_lab.cli.pretrain_backbone", no_pretrain)
+        monkeypatch.setattr("ilora_lab.artifacts.pretrain_backbone",
+                            no_pretrain)
         assert main(["probe", str(seq_run), "wd"]) == 0
         assert main(["probe", str(seq_run), "cka"]) == 0
         assert main(["sweep-lambda", str(seq_run), "--transition", "1"]) == 0
@@ -489,3 +588,59 @@ class TestCorruptCheckpoint:
             assert main(argv) == 2
             assert_one_line_error(capsys)
             assert not (run / csv).exists()
+
+
+class TestCheckpointHeaders:
+    """Each checkpoint's header must match what the config echo implies:
+    seed, task index, role and parameter count."""
+
+    def assert_refused(self, run, capsys, what):
+        for argv, csv in ((["probe", str(run), "wd"], "wd.csv"),
+                          (["sweep-lambda", str(run), "--transition", "1"],
+                           "sweep_t1.csv")):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert what in err and "task1_working.bin" in err, err
+            assert not (run / csv).exists()
+
+    def test_foreign_seed_exit_2(self, seq_run, tmp_path, capsys):
+        run = copy_run(seq_run, tmp_path)
+        theta, _ = load_checkpoint(run / "task1_working.bin")
+        save_checkpoint(run / "task1_working.bin", theta, 1, 5, "working")
+        self.assert_refused(run, capsys, "(5, 1, 'working', ")
+
+    def test_other_task_exit_2(self, seq_run, tmp_path, capsys):
+        run = copy_run(seq_run, tmp_path)
+        shutil.copy(run / "task2_working.bin", run / "task1_working.bin")
+        self.assert_refused(run, capsys, "(0, 2, 'working', ")
+
+    def test_longterm_over_working_exit_2(self, ilora_run, tmp_path, capsys):
+        run = copy_run(ilora_run, tmp_path)
+        shutil.copy(run / "task1_longterm.bin", run / "task1_working.bin")
+        self.assert_refused(run, capsys, "(0, 1, 'longterm', ")
+
+    def test_truncated_consistent_payload_exit_2(self, seq_run, tmp_path,
+                                                 capsys):
+        run = copy_run(seq_run, tmp_path)
+        theta, _ = load_checkpoint(run / "task1_working.bin")
+        save_checkpoint(run / "task1_working.bin", theta[:-1], 1, 0,
+                        "working")
+        self.assert_refused(run, capsys,
+                            f"(0, 1, 'working', {theta.size - 1})")
+
+    def test_stray_longterm_files_ignored_on_seq_run(self, seq_run,
+                                                     ilora_run, tmp_path,
+                                                     capsys):
+        """Dual-memory comes from the echoed kind, not from which files
+        exist: longterm checkpoints beside a SEQ echo are not read."""
+        run = copy_run(seq_run, tmp_path)
+        for t in (1, 2, 3):
+            shutil.copy(ilora_run / f"task{t}_longterm.bin", run)
+        assert main(["probe", str(run), "landscape"]) == 3
+        assert_one_line_error(capsys, "error: missing artifact: ")
+        assert not (run / "landscape.csv").exists()
+        assert main(["probe", str(run), "wd"]) == 0
+        for row in (run / "wd.csv").read_text().strip().split("\n")[1:]:
+            _, ww, wl = row.split(",")
+            assert wl == ww

@@ -1,4 +1,7 @@
+import importlib
+import importlib.util
 import types
+from pathlib import Path
 
 import ilora_lab
 
@@ -12,3 +15,17 @@ def test_all_lists_only_the_public_api():
               if not name.startswith("_") and name not in modules}
     assert exported == public
     assert len(ilora_lab.__all__) == len(exported)
+
+
+def test_benchmark_trace_targets_resolve():
+    """Every function the benchmark's tracer patches is still bound where
+    the tracer looks it up; a moved function would go uncounted."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for mod_name, attr in tracing.TARGETS:
+        obj = importlib.import_module(f"{tracing.PACKAGE}.{mod_name}")
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        assert callable(obj), f"{mod_name}.{attr} does not resolve"
