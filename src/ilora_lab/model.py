@@ -76,8 +76,9 @@ class Batch:
                    np.concatenate([b.y for b in batches]))
 
     def draw(self, count: int, rng: RngState) -> Batch:
-        """`count` rows uniform with replacement, one draw per row."""
-        idx = [rng.next_below(self.n) for _ in range(count)]
+        """`count` rows uniform with replacement, one uniform per row: row
+        int(u * n), the row `next_below(n)` would pick."""
+        idx = (rng.uniforms(count) * self.n).astype(np.int64)
         return Batch(self.X[idx], self.y[idx])
 
 
@@ -113,8 +114,8 @@ def init_params(net: Network, rng: RngState) -> np.ndarray:
     return join_params(A1, B1, A2, B2)
 
 
-def _effective_weights(net: Network, theta: np.ndarray):
-    A1, B1, A2, B2 = split_params(net, theta)
+def _effective_weights(net: Network, A1, B1, A2, B2):
+    """Adapted weight matrices from the four adapter factors."""
     W1eff = net.W1 + net.scaling * matmul(B1, A1)
     W2eff = net.W2 + net.scaling * matmul(B2, A2)
     return W1eff, W2eff
@@ -141,7 +142,8 @@ def embed(net: Network, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
     Raises ArithmeticError on a non-finite embedding."""
     if X.shape[1] != net.d:
         raise ValueError(f"input dim {X.shape[1]} != {net.d}")
-    z, _ = _embed_cached(net, *_effective_weights(net, theta), X)
+    W1eff, W2eff = _effective_weights(net, *split_params(net, theta))
+    z, _ = _embed_cached(net, W1eff, W2eff, X)
     if not np.isfinite(z).all():
         raise ArithmeticError("non-finite embedding")
     return z
@@ -203,7 +205,7 @@ def loss_and_grad(net: Network, theta: np.ndarray, batch: Batch,
     if gamma > 0.0 and (mem_batch is None or z_target is None):
         raise ValueError("gamma > 0 requires mem_batch and z_target")
     A1, B1, A2, B2 = split_params(net, theta)
-    W1eff, W2eff = _effective_weights(net, theta)
+    W1eff, W2eff = _effective_weights(net, A1, B1, A2, B2)
 
     z, h1 = _embed_cached(net, W1eff, W2eff, batch.X)
     loss, _, dz = _head_loss(net, z, batch.y)
@@ -226,6 +228,56 @@ def loss_and_grad(net: Network, theta: np.ndarray, batch: Batch,
     grad = join_params(dA1, dB1, dA2, dB2)
     _check_finite(loss, grad)
     return loss, grad
+
+
+# Element budget of one block of per_sample_grads rows: the block's stacked
+# (rows, h, d) and (rows, e, h) weight gradients and (rows, P) adapter
+# gradients stay near 32k float64 values, 256 KB.
+_PER_SAMPLE_ELEMS = 1 << 15
+
+
+def per_sample_grads(net: Network, theta: np.ndarray, batch: Batch):
+    """Each row's CE gradient w.r.t. the adapters, byte for byte what
+    `loss_and_grad` gives on that row alone. Yields blocks of rows in row
+    order, one (rows, P) array per block; the effective weights are built
+    once. Raises ArithmeticError when any row's loss or gradient is
+    non-finite.
+
+    Stacking rows changes no bits: every matmul entry is the same k-ascending
+    sum, and the elementwise steps and softmax's per-row max and sum do not
+    mix rows. A one-row mean and the division by n=1 change nothing, so they
+    are left out. A one-row weight gradient is a K=1 product, i.e. an outer
+    product plus 0.0 (matmul's zero start, which turns -0.0 into +0.0), and
+    the four adapter products of all rows are one column- or row-stacked
+    matmul each.
+    """
+    A1, B1, A2, B2 = split_params(net, theta)
+    W1eff, W2eff = _effective_weights(net, A1, B1, A2, B2)
+    r, d, h, e = net.rank, net.d, net.h, net.e
+    size = max(1, _PER_SAMPLE_ELEMS // (h * d + e * h + param_length(net)))
+    for start in range(0, batch.n, size):
+        X = batch.X[start:start + size]
+        y = batch.y[start:start + size]
+        n = len(y)
+        rows = np.arange(n)
+        z, h1 = _embed_cached(net, W1eff, W2eff, X)
+        dlogits = softmax(_head(net, z))
+        finite = np.isfinite(np.log(dlogits[rows, y])).all()
+        dlogits[rows, y] -= 1.0
+        dz = matmul(dlogits, net.Whead)
+        dpre1 = matmul(dz, W2eff) * (h1 > 0.0)
+        dW2 = dz[:, :, None] * h1[:, None, :] + 0.0
+        dW1 = dpre1[:, :, None] * X[:, None, :] + 0.0
+        dA1 = matmul(B1.T, dW1.transpose(1, 0, 2).reshape(h, n * d))
+        dA2 = matmul(B2.T, dW2.transpose(1, 0, 2).reshape(e, n * h))
+        g = net.scaling * np.concatenate([
+            dA1.reshape(r, n, d).transpose(1, 0, 2).reshape(n, -1),
+            matmul(dW1.reshape(n * h, d), A1.T).reshape(n, -1),
+            dA2.reshape(r, n, h).transpose(1, 0, 2).reshape(n, -1),
+            matmul(dW2.reshape(n * e, h), A2.T).reshape(n, -1)], axis=1)
+        if not (finite and np.isfinite(g).all()):
+            raise ArithmeticError("non-finite loss or gradient")
+        yield g
 
 
 def accuracy(logits: np.ndarray, y: np.ndarray) -> float:

@@ -51,6 +51,18 @@ steps after x (k <= 512) is the xor of column k-1 of the jump table over
 the set bits of x, so a skip of n states costs ceil(n/512) such xors and no
 Box-Muller. ``skip_gaussian_fill`` uses it to pass over a fill that is
 never read, e.g. a training set when only eval sets are needed.
+
+``RngState.uniforms`` serves batch index draws in bulk. It keeps a
+lookahead block: the next 512 states and their uniforms, made by the jump
+table, plus how many of them have been read. A call returns the next
+``count`` uniforms of the block and starts a new block from the block's
+last state when it runs out, so its values and final state are those of
+``count`` ``next_float`` calls; ``int(u * n)`` on them is ``next_below(n)``.
+Every other consumer (``next_u64``, ``next_states``, ``advance``, and
+through them ``gaussian_fill``, ``gauss_pair`` and
+``choose_without_replacement``) first resyncs: the generator's state
+becomes the last state read and the unread rest of the block is dropped.
+Interleaving bulk and scalar draws therefore leaves the stream unchanged.
 """
 
 from __future__ import annotations
@@ -83,8 +95,23 @@ class RngState:
         if state == 0:
             state = _SPLITMIX_GAMMA
         self._state = state
+        # uniforms() lookahead: the next states after _state, their uniforms
+        # and how many have been read; None when there is none.
+        self._ahead: np.ndarray | None = None
+        self._ahead_u: np.ndarray | None = None
+        self._read = 0
+
+    def _resync(self) -> None:
+        """Move the state to the last lookahead state read and drop the
+        rest; a no-op without a lookahead."""
+        if self._read:
+            self._state = int(self._ahead[self._read - 1])
+        self._ahead = self._ahead_u = None
+        self._read = 0
 
     def next_u64(self) -> int:
+        if self._ahead is not None:
+            self._resync()
         x = self._state
         x ^= (x >> 12)
         x ^= (x << 25) & _MASK64
@@ -122,18 +149,34 @@ class RngState:
         a = 2.0 * math.pi * u2
         return r * math.cos(a), r * math.sin(a)
 
+    def uniforms(self, count: int) -> np.ndarray:
+        """The next ``count`` uniforms as a float64 array: the values and
+        final state of ``count`` ``next_float`` calls, served from the
+        lookahead block."""
+        out = np.empty(count)
+        done = 0
+        while done < count:
+            if self._ahead is None or self._read == _JUMP_ROWS:
+                self._resync()
+                self._ahead = _states_after(self._state, _JUMP_ROWS)
+                self._ahead_u = _uniforms_of(self._ahead)
+            k = min(count - done, _JUMP_ROWS - self._read)
+            out[done:done + k] = self._ahead_u[self._read:self._read + k]
+            self._read += k
+            done += k
+        return out
+
     def next_states(self, count: int) -> np.ndarray:
         """The next ``count`` raw xorshift states (the ``state'`` of the
         contract) as a uint64 array; leaves the generator where ``count``
         ``next_u64`` calls would."""
-        tab = _jump_table()
+        self._resync()
         out = np.empty(count, dtype=np.uint64)
         x = self._state
         for start in range(0, count, _JUMP_ROWS):
             k = min(_JUMP_ROWS, count - start)
-            block = np.bitwise_xor.reduce(tab[_set_bits(x), :k], axis=0)
-            out[start:start + k] = block
-            x = int(block[-1])
+            out[start:start + k] = _states_after(x, k)
+            x = int(out[start + k - 1])
         self._state = x
         return out
 
@@ -142,12 +185,25 @@ class RngState:
         leaves the generator where ``count`` ``next_u64`` calls would."""
         if count < 0:
             raise ValueError("advance requires count >= 0")
+        self._resync()
         tab = _jump_table()
         x = self._state
         for start in range(0, count, _JUMP_ROWS):
             k = min(_JUMP_ROWS, count - start)
             x = int(np.bitwise_xor.reduce(tab[_set_bits(x), k - 1]))
         self._state = x
+
+
+def _states_after(x: int, k: int) -> np.ndarray:
+    """The k (<= _JUMP_ROWS) states that follow state x."""
+    return np.bitwise_xor.reduce(_jump_table()[_set_bits(x), :k], axis=0)
+
+
+def _uniforms_of(states: np.ndarray) -> np.ndarray:
+    """``next_float``'s uniform for each raw state: (state' * MULT) mod 2^64
+    (uint64 wraps), its top 53 bits, times 2^-53; every step is exact."""
+    u64 = states * np.uint64(_XORSHIFT_MULT)
+    return (u64 >> 11).astype(np.float64) * 2.0 ** -53
 
 
 def _set_bits(x: int) -> list[int]:
@@ -216,8 +272,7 @@ def _box_muller(states: np.ndarray) -> np.ndarray:
     """Gaussians from an even number of consecutive states, pair by pair
     exactly as ``gauss_pair`` computes them. log, cos and sin are ``math``'s
     because numpy's do not always round the same way."""
-    u64 = states * np.uint64(_XORSHIFT_MULT)
-    u = (u64 >> 11).astype(np.float64) * 2.0 ** -53
+    u = _uniforms_of(states)
     u1 = u[0::2]
     u1[u1 == 0.0] = 2.0 ** -53
     half = len(u1)

@@ -4,12 +4,12 @@ Fisher regularization, and memory-gradient projection."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .connectivity import interpolate
-from .model import Batch, Network, loss_and_grad
+from .model import Batch, Network, per_sample_grads
 
 
 @dataclass
@@ -49,13 +49,23 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray):
         raise ValueError("theta/grad length mismatch")
     if not np.all(np.isfinite(grad)):
         raise ArithmeticError("non-finite gradient, update rejected")
-    new = replace(state, step=state.step + 1,
-                  m=state.beta1 * state.m + (1.0 - state.beta1) * grad,
-                  v=state.beta2 * state.v + (1.0 - state.beta2) * grad * grad)
-    mhat = new.m / (1.0 - state.beta1 ** new.step)
-    vhat = new.v / (1.0 - state.beta2 ** new.step)
-    lr = lr_at(state, new.step)
-    return theta - lr * mhat / (np.sqrt(vhat) + state.eps), new
+    # The operations and their order are those of
+    # m' = b1*m + (1-b1)*g, v' = b2*v + (1-b2)*g*g and
+    # theta - lr*mhat / (sqrt(vhat) + eps), done in place on fresh arrays.
+    b1, b2, step = state.beta1, state.beta2, state.step + 1
+    m = b1 * state.m
+    m += (1.0 - b1) * grad
+    t = (1.0 - b2) * grad
+    t *= grad
+    v = b2 * state.v
+    v += t
+    update = m / (1.0 - b1 ** step)
+    update *= lr_at(state, step)
+    t = np.divide(v, 1.0 - b2 ** step, out=t)
+    np.sqrt(t, out=t)
+    t += state.eps
+    update /= t
+    return theta - update, _stepped(state, m, v)
 
 
 def sgd_step(state: AdamState, theta: np.ndarray, grad: np.ndarray):
@@ -65,8 +75,15 @@ def sgd_step(state: AdamState, theta: np.ndarray, grad: np.ndarray):
         raise ValueError("theta/grad length mismatch")
     if not np.all(np.isfinite(grad)):
         raise ArithmeticError("non-finite gradient, update rejected")
-    new = replace(state, step=state.step + 1)
-    return theta - lr_at(state, new.step) * grad, new
+    return (theta - lr_at(state, state.step + 1) * grad,
+            _stepped(state, state.m, state.v))
+
+
+def _stepped(state: AdamState, m: np.ndarray, v: np.ndarray) -> AdamState:
+    """`state` one step on, with moments m and v."""
+    return AdamState(m, v, state.step + 1, state.beta1, state.beta2,
+                     state.eps, state.base_lr, state.warmup_ratio,
+                     state.total_steps)
 
 
 def ema_update(theta_l: np.ndarray, theta_w: np.ndarray, lam: float) -> np.ndarray:
@@ -106,10 +123,13 @@ def ewc_fisher(net: Network, theta: np.ndarray, dataset: Batch) -> np.ndarray:
     """Empirical diagonal Fisher: mean over samples of the squared per-sample
     log-likelihood gradient. Deterministic: the full dataset is visited."""
     total = np.zeros_like(theta)
-    for i in range(dataset.n):
-        one = Batch(dataset.X[i : i + 1], dataset.y[i : i + 1])
-        _, g = loss_and_grad(net, theta, one)
-        total += g * g  # grad of -log p == grad of single-sample CE
+    for block in per_sample_grads(net, theta, dataset):
+        # grad of -log p == grad of single-sample CE. Squares are added one
+        # row at a time, in row order: summing a block first would regroup
+        # the sum and change bits.
+        np.square(block, out=block)
+        for sq in block:
+            total += sq
     return total / dataset.n
 
 

@@ -51,12 +51,14 @@ class ReplayBuffer:
         if self.size == 0:
             raise ValueError("cannot sample from an empty buffer")
         if self.stratified:
-            nonempty = [(X, y) for X, y, _ in self.stores if len(y) > 0]
-            rows_x, rows_y = [], []
-            for i in range(batch_size):
-                X, y = nonempty[rng.next_below(len(nonempty))]
-                j = rng.next_below(len(y))
-                rows_x.append(X[j])
-                rows_y.append(y[j])
-            return Batch(np.array(rows_x), np.array(rows_y, dtype=np.int64))
+            # two uniforms per row, a store and then a row within it, as
+            # two next_below calls pick them; the union holds the non-empty
+            # stores back to back
+            sizes = np.array([len(y) for _, y, _ in self.stores if len(y)])
+            u = rng.uniforms(2 * batch_size)
+            store = (u[0::2] * len(sizes)).astype(np.int64)
+            idx = (np.cumsum(sizes) - sizes)[store] + \
+                (u[1::2] * sizes[store]).astype(np.int64)
+            return Batch(self.union.X[idx],
+                         self.union.y[idx].astype(np.int64, copy=False))
         return self.union.draw(batch_size, rng)

@@ -282,6 +282,25 @@ class TestRunDirectory:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json",
                                                               "o"]
 
+    def test_empty_out_is_replaced_by_a_new_directory(self, tmp_path,
+                                                       monkeypatch):
+        # the finished run is renamed over the empty --out: the path gets a
+        # new inode and the complete run, while a shell sitting in the old
+        # directory sees nothing there until it re-enters the path
+        path = write_config(tmp_path)
+        inodes = {}
+        for name in ("o", "ref"):
+            out = tmp_path / name
+            out.mkdir()
+            inodes[name] = out.stat().st_ino
+            monkeypatch.chdir(out)
+            assert main(["run", str(path), "--out", "."]) == 0
+            assert out.stat().st_ino != inodes[name]
+            assert os.listdir(".") == []
+            assert "metrics.json" in os.listdir(out)
+        # complete: the same bytes as a second run of the same config
+        assert tree_bytes(tmp_path / "o") == tree_bytes(tmp_path / "ref")
+
     def test_mode_matches_mkdir(self, tmp_path):
         path = write_config(tmp_path)
         old = os.umask(0o027)

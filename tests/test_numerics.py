@@ -280,6 +280,63 @@ class TestAdvance:
             assert skipped.next_u64() == filled.next_u64(), (rows, cols)
 
 
+class TestBulkUniforms:
+    """uniforms() through its lookahead block against scalar draws."""
+
+    B = _JUMP_ROWS
+
+    @pytest.mark.parametrize("n", [1, 37, 512, 2 ** 31 - 1])
+    def test_indices_and_final_state_match_next_below(self, n):
+        B = self.B
+        for counts in ((16,) * 70, (1, B - 1, 1), (B + 1, 2 * B - 3, 5),
+                       (3 * B + 7,), (0, 9, 0)):
+            bulk, scalar = RngState(n), RngState(n)
+            for count in counts:
+                got = (bulk.uniforms(count) * n).astype(np.int64)
+                want = [scalar.next_below(n) for _ in range(count)]
+                assert got.tolist() == want, (n, count)
+            assert bulk.next_u64() == scalar.next_u64(), (n, counts)
+
+    def test_values_are_next_float(self):
+        bulk, scalar = RngState(1), RngState(1)
+        got = bulk.uniforms(2 * self.B + 3)
+        assert got.dtype == np.float64
+        assert got.tolist() == [scalar.next_float()
+                                for _ in range(2 * self.B + 3)]
+
+    def test_other_consumers_resync_at_a_partly_read_block(self):
+        # each consumer runs with part of a lookahead block read and the
+        # rest unread; the stream must go on from the last value read
+        consumers = [
+            lambda r: gaussian_fill(r, 3, 5).tobytes(),
+            lambda r: r.advance(40),
+            lambda r: r.next_u64(),
+            lambda r: r.next_below(9),
+            lambda r: r.choose_without_replacement(30, 7),
+            lambda r: r.next_states(700).tolist(),
+            lambda r: r.gauss_pair(),
+        ]
+        bulk, scalar = RngState(12), RngState(12)
+        for i, consume in enumerate(consumers):
+            count = 100 + 211 * i  # ends at varying points of a block
+            assert bulk.uniforms(count).tolist() == \
+                   [scalar.next_float() for _ in range(count)], i
+            assert consume(bulk) == consume(scalar), i
+        assert bulk.uniforms(5).tolist() == \
+               [scalar.next_float() for _ in range(5)]
+        assert bulk.next_u64() == scalar.next_u64()
+
+    def test_fill_then_bulk_then_fill(self):
+        bulk, scalar = RngState(4), RngState(4)
+        assert gaussian_fill(bulk, 2, 3).tobytes() == \
+               gauss_pair_fill(scalar, 2, 3).tobytes()
+        assert bulk.uniforms(17).tolist() == \
+               [scalar.next_float() for _ in range(17)]
+        assert gaussian_fill(bulk, 7, 9).tobytes() == \
+               gauss_pair_fill(scalar, 7, 9).tobytes()
+        assert bulk.next_u64() == scalar.next_u64()
+
+
 class TestFiniteDiff:
     def test_quadratic(self):
         g = finite_diff_grad(lambda t: float(np.sum(t * t)),

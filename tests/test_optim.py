@@ -5,7 +5,7 @@ from ilora_lab import (AdamState, Batch, EwcState, GradRef, RngState,
                        adam_step, agem_project, ema_update, ewc_fisher,
                        ewc_penalty_grad, finite_diff_grad, gaussian_fill,
                        init_params, loss_and_grad, lr_at, sgd_step)
-from ilora_lab.model import Network
+from ilora_lab.model import Network, per_sample_grads, split_params
 
 from conftest import make_batch, make_tiny_net, random_theta
 
@@ -175,6 +175,83 @@ class TestEwcFisher:
                                  theta, h=1e-6)
             acc += g * g
         assert np.allclose(fisher, acc / batch.n, rtol=1e-6, atol=1e-10)
+
+
+def per_row_fisher(net, theta, dataset):
+    """The Fisher one loss_and_grad call per row: the reference the batched
+    per-sample path must reproduce byte for byte."""
+    total = np.zeros_like(theta)
+    for i in range(dataset.n):
+        _, g = loss_and_grad(net, theta, Batch(dataset.X[i:i + 1],
+                                               dataset.y[i:i + 1]))
+        total += g * g
+    return total / dataset.n
+
+
+def fisher_case(classes, d=16, seed=0):
+    """A net of the default shapes (hidden 32, embed 16, rank 8) with
+    `classes` outputs, adapters with nonzero B factors, and 256 rows."""
+    net = make_tiny_net(seed, d=d, h=32, e=16, c=classes, rank=8, alpha=16.0)
+    theta = random_theta(net, seed=seed + 1, std=0.1)
+    return net, theta, make_batch(RngState(seed + 2), 256, d, classes)
+
+
+class TestBatchedFisher:
+    """ewc_fisher's per-sample blocks against one loss_and_grad per row."""
+
+    @pytest.mark.parametrize("classes, d", [(4, 16), (11, 9)])
+    def test_every_row_and_the_fisher_match_per_row_calls(self, classes, d):
+        net, theta, data = fisher_case(classes, d)
+        _, B1, _, B2 = split_params(net, theta)
+        assert np.all(B1 != 0.0) and np.all(B2 != 0.0)
+        blocks = list(per_sample_grads(net, theta, data))
+        assert len(blocks) > 1
+        grads = np.concatenate(blocks)
+        for i in range(data.n):
+            _, want = loss_and_grad(net, theta, Batch(data.X[i:i + 1],
+                                                      data.y[i:i + 1]))
+            assert grads[i].tobytes() == want.tobytes(), i
+        assert ewc_fisher(net, theta, data).tobytes() == \
+               per_row_fisher(net, theta, data).tobytes()
+
+    def test_row_counts_around_the_block_size(self):
+        net, theta, data = fisher_case(4)
+        block = next(per_sample_grads(net, theta, data)).shape[0]
+        assert 1 < block < data.n
+        for n in (1, block - 1, block, block + 1, 2 * block + 1, data.n):
+            part = Batch(data.X[:n], data.y[:n])
+            sizes = [len(b) for b in per_sample_grads(net, theta, part)]
+            assert sum(sizes) == n and max(sizes) <= block, n
+            assert ewc_fisher(net, theta, part).tobytes() == \
+                   per_row_fisher(net, theta, part).tobytes(), n
+
+    def test_nan_theta_raises(self):
+        net, theta, data = fisher_case(4)
+        theta[-1] = np.nan
+        with pytest.raises(ArithmeticError):
+            ewc_fisher(net, theta, data)
+
+    @pytest.mark.filterwarnings("ignore:divide by zero encountered in log")
+    def test_underflowed_true_class_raises(self):
+        # a head this sharp rounds the true class's probability to 0 on
+        # some rows: the loss is infinite while the gradient stays finite,
+        # and the per-row path rejects it
+        net = make_tiny_net()
+        net = Network(net.W1, net.b1, net.W2, net.b2, net.Whead * 1e4,
+                      net.bhead, net.rank, net.alpha)
+        theta = random_theta(net)
+        data = make_batch(RngState(3), 8, net.d, net.c)
+        with pytest.raises(ArithmeticError):
+            per_row_fisher(net, theta, data)
+        with pytest.raises(ArithmeticError):
+            ewc_fisher(net, theta, data)
+
+    def test_nan_row_in_a_later_block_raises(self):
+        net, theta, data = fisher_case(4)
+        X = data.X.copy()
+        X[-1, 0] = np.nan
+        with pytest.raises(ArithmeticError):
+            ewc_fisher(net, theta, Batch(X, data.y))
 
 
 class TestEwcPenalty:

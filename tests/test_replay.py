@@ -133,6 +133,32 @@ class TestSample:
         batch = buf.sample(2000, RngState(11))
         assert abs(batch.y.mean() - 0.5) < 0.05
 
+    def test_stratified_matches_per_row_draws(self):
+        # a store, then a row within it, by one next_below each per row:
+        # the loop the bulk draw replaced, including an empty store
+        buf = ReplayBuffer(stratified=True)
+        for tid, (rho, n) in enumerate([(0.3, 40), (0.0, 25), (0.5, 33),
+                                        (1.0, 7)], start=1):
+            buf.rho = rho
+            buf.ingest_task(make_batch(RngState(50 + tid), n, 3, 4), tid,
+                            RngState(60 + tid))
+        nonempty = [(X, y) for X, y, _ in buf.stores if len(y)]
+        assert len(nonempty) == 3
+        ref_rng, rng = RngState(70), RngState(70)
+        for count in (1, 19, 300, 600):
+            rows_x, rows_y = [], []
+            for _ in range(count):
+                X, y = nonempty[ref_rng.next_below(len(nonempty))]
+                j = ref_rng.next_below(len(y))
+                rows_x.append(X[j])
+                rows_y.append(y[j])
+            got = buf.sample(count, rng)
+            assert got.X.tobytes() == np.array(rows_x).tobytes()
+            assert got.y.dtype == np.int64
+            assert got.y.tobytes() == \
+                   np.array(rows_y, dtype=np.int64).tobytes()
+        assert rng.next_u64() == ref_rng.next_u64()
+
     def test_stratified_skips_empty_stores(self):
         data = make_batch(RngState(12), 20, 2, 2)
         buf = ReplayBuffer(rho=0.0, stratified=True)
