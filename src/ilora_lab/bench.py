@@ -141,6 +141,10 @@ class ArchConfig:
     pretrain_lr: float = 1e-2
     pretrain_batch: int = 16
 
+    def __post_init__(self):
+        if self.pretrain_lr < 0.0:
+            raise ValueError("pretrain_lr must be >= 0")
+
 
 def pretrain_backbone(anchor_train: Batch, arch: ArchConfig, seed: int,
                       classes: int) -> Network:
@@ -163,10 +167,10 @@ def pretrain_backbone(anchor_train: Batch, arch: ArchConfig, seed: int,
     vec = backbone_vector(net)
     shape = (d, h, e, c, arch.rank, arch.alpha)
     adam = AdamState.fresh(vec.size, arch.pretrain_lr, 0.2, steps)
+    # the network's arrays are views into vec, which each step overwrites
+    net = backbone_from_vector(vec, *shape)
     for _ in range(steps):
         batch = anchor_train.draw(arch.pretrain_batch, rng)
-        # adam_step returns a fresh vector, so views into vec stay valid
-        _, grad = backbone_loss_and_grad(backbone_from_vector(vec, *shape),
-                                         batch)
-        vec, adam = adam_step(adam, vec, grad)
+        _, grad = backbone_loss_and_grad(net, batch)
+        vec[:], adam = adam_step(adam, vec, grad)
     return backbone_from_vector(vec.copy(), *shape)

@@ -98,7 +98,9 @@ def validate_config(raw: dict) -> dict:
            **{name: _merge_block(name, raw.get(name, {}), schema)
               for name, schema in SCHEMA.items()},
            "out_dir": out_dir}
-    _strategy_config(cfg)  # StrategyConfig's own checks: kind, ranges
+    # the dataclasses' own checks: kind, ranges
+    _strategy_config(cfg)
+    _build(ArchConfig, **cfg["arch"])
     return cfg
 
 
@@ -113,11 +115,16 @@ def _check_seed(seed):
     return seed
 
 
-def _strategy_config(cfg: dict) -> StrategyConfig:
+def _build(cls, **kwargs):
+    """cls(**kwargs), its own range checks failing as a ConfigError."""
     try:
-        return StrategyConfig(**cfg["strategy"], **cfg["training"])
+        return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _strategy_config(cfg: dict) -> StrategyConfig:
+    return _build(StrategyConfig, **cfg["strategy"], **cfg["training"])
 
 
 # --- commands ---------------------------------------------------------------

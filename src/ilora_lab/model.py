@@ -9,11 +9,12 @@ and B is zero at init, so a fresh adapter set reproduces the backbone exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngState, gaussian_fill, matmul
+from .numerics import RngState, all_finite, gaussian_fill, matmul
 
 ADAPTER_INIT_STD = 0.02
 
@@ -144,7 +145,7 @@ def embed(net: Network, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
         raise ValueError(f"input dim {X.shape[1]} != {net.d}")
     W1eff, W2eff = _effective_weights(net, *split_params(net, theta))
     z, _ = _embed_cached(net, W1eff, W2eff, X)
-    if not np.isfinite(z).all():
+    if not all_finite(z):
         raise ArithmeticError("non-finite embedding")
     return z
 
@@ -153,15 +154,15 @@ def forward(net: Network, theta: np.ndarray, X: np.ndarray):
     """Logits (n x c) and pre-head embedding (n x e) for an input batch."""
     z = embed(net, theta, X)
     logits = _head(net, z)
-    if not np.isfinite(logits).all():
+    if not all_finite(logits):
         raise ArithmeticError("non-finite logits")
     return logits, z
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     ex = np.exp(shifted)
-    return ex / ex.sum(axis=1, keepdims=True)
+    return ex / np.add.reduce(ex, axis=1, keepdims=True)
 
 
 def _head_loss(net: Network, z: np.ndarray, y: np.ndarray):
@@ -169,7 +170,7 @@ def _head_loss(net: Network, z: np.ndarray, y: np.ndarray):
     n = len(y)
     rows = np.arange(n)
     dlogits = softmax(_head(net, z))
-    loss = float(-np.mean(np.log(dlogits[rows, y])))
+    loss = float(-np.add.reduce(np.log(dlogits[rows, y])) / n)
     dlogits[rows, y] -= 1.0
     dlogits /= n
     return loss, dlogits, matmul(dlogits, net.Whead)
@@ -192,7 +193,7 @@ def _adapter_grads_from_embedding_grad(net, dz, h1, X, A1, B1, A2, B2,
 
 
 def _check_finite(loss: float, grad: np.ndarray) -> None:
-    if not (np.isfinite(loss) and np.isfinite(grad).all()):
+    if not (math.isfinite(loss) and all_finite(grad)):
         raise ArithmeticError("non-finite loss or gradient")
 
 
@@ -217,7 +218,8 @@ def loss_and_grad(net: Network, theta: np.ndarray, batch: Batch,
             raise ValueError("z_target shape mismatch")
         zm, h1m = _embed_cached(net, W1eff, W2eff, mem_batch.X)
         diff = zm - z_target
-        loss += gamma * float(np.mean(diff * diff))
+        loss += gamma * float(np.add.reduce(diff * diff, axis=None)
+                              / diff.size)
         dzm = (2.0 * gamma / diff.size) * diff
         for g, mg in zip((dA1, dB1, dA2, dB2),
                          _adapter_grads_from_embedding_grad(
@@ -262,20 +264,23 @@ def per_sample_grads(net: Network, theta: np.ndarray, batch: Batch):
         rows = np.arange(n)
         z, h1 = _embed_cached(net, W1eff, W2eff, X)
         dlogits = softmax(_head(net, z))
-        finite = np.isfinite(np.log(dlogits[rows, y])).all()
+        finite = all_finite(np.log(dlogits[rows, y]))
         dlogits[rows, y] -= 1.0
         dz = matmul(dlogits, net.Whead)
         dpre1 = matmul(dz, W2eff) * (h1 > 0.0)
-        dW2 = dz[:, :, None] * h1[:, None, :] + 0.0
-        dW1 = dpre1[:, :, None] * X[:, None, :] + 0.0
+        dW2 = dz[:, :, None] * h1[:, None, :]
+        dW2 += 0.0
+        dW1 = dpre1[:, :, None] * X[:, None, :]
+        dW1 += 0.0
         dA1 = matmul(B1.T, dW1.transpose(1, 0, 2).reshape(h, n * d))
         dA2 = matmul(B2.T, dW2.transpose(1, 0, 2).reshape(e, n * h))
-        g = net.scaling * np.concatenate([
+        g = np.concatenate([
             dA1.reshape(r, n, d).transpose(1, 0, 2).reshape(n, -1),
             matmul(dW1.reshape(n * h, d), A1.T).reshape(n, -1),
             dA2.reshape(r, n, h).transpose(1, 0, 2).reshape(n, -1),
             matmul(dW2.reshape(n * e, h), A2.T).reshape(n, -1)], axis=1)
-        if not (finite and np.isfinite(g).all()):
+        g *= net.scaling
+        if not (finite and all_finite(g)):
             raise ArithmeticError("non-finite loss or gradient")
         yield g
 
@@ -321,7 +326,8 @@ def backbone_loss_and_grad(net: Network, batch: Batch):
     z, h1 = _embed_cached(net, net.W1, net.W2, batch.X)
     loss, dlogits, dz = _head_loss(net, z, batch.y)
     dW1, dW2, dpre1 = _hidden_backward(dz, h1, batch.X, net.W2)
-    grad = join_params(dW1, dpre1.sum(axis=0), dW2, dz.sum(axis=0),
-                       matmul(dlogits.T, z), dlogits.sum(axis=0))
+    grad = join_params(dW1, np.add.reduce(dpre1, axis=0), dW2,
+                       np.add.reduce(dz, axis=0), matmul(dlogits.T, z),
+                       np.add.reduce(dlogits, axis=0))
     _check_finite(loss, grad)
     return loss, grad

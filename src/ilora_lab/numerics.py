@@ -2,20 +2,26 @@
 
 All numeric state is float64 numpy. The matmul kernel accumulates over the
 inner dimension in ascending order so results are bit-identical to a naive
-triple loop, independent of BLAS build details. It has two paths, both on
-C-contiguous copies of the operands:
+triple loop, independent of BLAS build details. An operand that is already a
+2-D float64 ndarray is used as it is; anything else goes through
+``as_matrix``. The kernel has two paths:
 
-- small products (K*m*n <= _VECTOR_MAX_ELEMS, output not 1x1) build the
-  K x m x n array of products and sum it over its outer axis, which numpy
-  does slice by slice, i.e. k-ascending. ``+ 0.0`` then turns a ``-0.0``
-  total into ``+0.0`` as the loop's zero start does, on numpy releases whose
-  sum starts from the first slice rather than from ``+0.0``. A 1x1 output is
-  left to the loop because numpy reduces a contiguous axis pairwise.
-- larger products loop over k, accumulating into one reused buffer, so the
-  temporary stays m x n.
+- small products (K*m*n <= _VECTOR_MAX_ELEMS, output not 1x1) build a
+  C-contiguous array of the K x m x n products and sum it over its outer
+  axis, which numpy does slice by slice, i.e. k-ascending. The array's
+  inner axis is the longer of m and n, because numpy runs one inner loop
+  per row and fewer, longer rows cost less: when n < m the array holds
+  b[k, j] * a[i, k] as K x n x m, and the n x m sum comes back as a
+  C-contiguous transpose (products commute, so the bytes are the same).
+  The sum starts from ``initial=0.0``, the loop's own zero start, so a
+  ``-0.0`` total comes out ``+0.0``. A 1x1 output is left to the loop
+  because numpy reduces a contiguous axis pairwise.
+- larger products loop over k, reading column k of a in place and row k of
+  a C-contiguous b, and accumulate into one reused buffer, so the temporary
+  stays m x n.
 
 The kernel does not check finiteness; the model checks its losses,
-gradients, logits and embeddings once per call instead.
+gradients, logits and embeddings once per call instead, with ``all_finite``.
 
 RNG contract (xorshift64*, seeded through splitmix64):
 
@@ -236,6 +242,7 @@ def as_matrix(data) -> np.ndarray:
     return m
 
 
+_FLOAT64 = np.dtype(np.float64)
 # Largest K*m*n product that matmul computes as one K x m x n array
 # (32k float64 values, a 256 KB temporary); larger products take the k loop.
 _VECTOR_MAX_ELEMS = 1 << 15
@@ -244,22 +251,36 @@ _VECTOR_MAX_ELEMS = 1 << 15
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Deterministic product: accumulation over k ascending, bit-equal to the
     naive triple loop."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
+    if type(a) is not np.ndarray or a.dtype is not _FLOAT64 or a.ndim != 2:
+        a = as_matrix(a)
+    if type(b) is not np.ndarray or b.dtype is not _FLOAT64 or b.ndim != 2:
+        b = as_matrix(b)
     m, K = a.shape
+    if K != b.shape[0]:
+        raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
     n = b.shape[1]
-    at = np.ascontiguousarray(a.T)
-    b = np.ascontiguousarray(b)
     if m * n > 1 and K * m * n <= _VECTOR_MAX_ELEMS:
-        return (at[:, :, None] * b[:, None, :]).sum(axis=0) + 0.0
+        at = a.T
+        if n >= m:
+            return np.add.reduce(
+                np.multiply(at[:, :, None], b[:, None, :], order="C"),
+                axis=0, initial=0.0)
+        return np.ascontiguousarray(np.add.reduce(
+            np.multiply(b[:, :, None], at[:, None, :], order="C"),
+            axis=0, initial=0.0).T)
+    b = np.ascontiguousarray(b)
     out = np.zeros((m, n))
     tmp = np.empty((m, n))
     for k in range(K):
-        np.multiply(at[k, :, None], b[k], out=tmp)
+        np.multiply(a[:, k, None], b[k], out=tmp)
         out += tmp
     return out
+
+
+def all_finite(x: np.ndarray) -> bool:
+    """Whether every entry of x is finite: ``np.isfinite(x).all()`` without
+    the Python wrapper of ``ndarray.all``."""
+    return bool(np.logical_and.reduce(np.isfinite(x), axis=None))
 
 
 # States per gaussian_fill chunk (even, so chunks hold whole pairs). Small

@@ -10,6 +10,7 @@ import numpy as np
 
 from .connectivity import interpolate
 from .model import Batch, Network, per_sample_grads
+from .numerics import all_finite
 
 
 @dataclass
@@ -47,7 +48,7 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray):
     """One bias-corrected Adam update; returns (new theta, new state)."""
     if theta.shape != grad.shape:
         raise ValueError("theta/grad length mismatch")
-    if not np.all(np.isfinite(grad)):
+    if not all_finite(grad):
         raise ArithmeticError("non-finite gradient, update rejected")
     # The operations and their order are those of
     # m' = b1*m + (1-b1)*g, v' = b2*v + (1-b2)*g*g and
@@ -73,7 +74,7 @@ def sgd_step(state: AdamState, theta: np.ndarray, grad: np.ndarray):
     Algorithm-1 style update); reuses AdamState for step/schedule bookkeeping."""
     if theta.shape != grad.shape:
         raise ValueError("theta/grad length mismatch")
-    if not np.all(np.isfinite(grad)):
+    if not all_finite(grad):
         raise ArithmeticError("non-finite gradient, update rejected")
     return (theta - lr_at(state, state.step + 1) * grad,
             _stepped(state, state.m, state.v))

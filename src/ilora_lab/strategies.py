@@ -68,6 +68,10 @@ class StrategyConfig:
             raise ValueError("rho must lie in [0, 1]")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        if self.base_lr < 0.0:
+            raise ValueError("base_lr must be >= 0")
+        if not 0.0 <= self.warmup_ratio <= 1.0:
+            raise ValueError("warmup_ratio must lie in [0, 1]")
 
 
 @dataclass

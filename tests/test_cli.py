@@ -184,9 +184,15 @@ class TestRunCommand:
         ({"strategy": {"deploy_slow": 1}}, {}),
         ({"training": {"optimizer": None}}, {}),
         ({}, {"out_dir": 5}),
+        ({"training": {"base_lr": -0.01}}, {}),
+        ({"arch": {"pretrain_lr": -0.5}}, {}),
+        ({"training": {"warmup_ratio": -1.0}}, {}),
+        ({"training": {"warmup_ratio": 1.5}}, {}),
     ], ids=["epochs-str", "rank-0", "gamma-nan", "batch-bool", "n_train-0",
             "base_lr-inf", "base_lr-huge-int", "deploy_slow-int",
-            "optimizer-null", "out_dir-int"])
+            "optimizer-null", "out_dir-int", "base_lr-negative",
+            "pretrain_lr-negative", "warmup_ratio-negative",
+            "warmup_ratio-above-1"])
     def test_mistyped_value_exit_2_before_writing(self, tmp_path, capsys,
                                                   monkeypatch, overrides,
                                                   top):
@@ -197,6 +203,25 @@ class TestRunCommand:
         assert main(["run", str(path)]) == 2
         assert_one_line_error(capsys)
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("block, key, value", [
+        ("training", "base_lr", -0.01), ("arch", "pretrain_lr", -0.5),
+        ("training", "warmup_ratio", -1.0), ("training", "warmup_ratio", 2)])
+    def test_bad_rate_or_warmup_names_the_key(self, block, key, value):
+        with pytest.raises(ConfigError, match=key):
+            validate_config({block: {key: value}})
+
+    def test_zero_rates_and_warmup_bounds_accepted(self):
+        for training in ({"base_lr": 0, "warmup_ratio": 0.0},
+                         {"base_lr": 0.0, "warmup_ratio": 1}):
+            cfg = validate_config({"training": training,
+                                   "arch": {"pretrain_lr": 0.0}})
+            assert cfg["training"] == {**cfg["training"], **training}
+
+    def test_zero_rates_are_a_null_run(self, tmp_path):
+        path = write_config(tmp_path, {"training": {"base_lr": 0.0},
+                                       "arch": {"pretrain_lr": 0.0}})
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
 
     def test_float_fields_take_integers(self):
         cfg = validate_config({"arch": {"alpha": 8},

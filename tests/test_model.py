@@ -212,3 +212,66 @@ class TestFiniteness:
         X[0, 0] = np.nan
         with pytest.raises(ArithmeticError):
             backbone_loss_and_grad(net, Batch(X, batch.y))
+
+
+def _bytes(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestDirectReductions:
+    """The step path calls numpy's reductions directly instead of through
+    the Python wrappers (`np.mean`, `ndarray.sum`, `ndarray.max`); each
+    must give the wrapper's bytes."""
+
+    @pytest.mark.parametrize("n", [1, 3, 16, 17, 64, 256, 1280])
+    def test_head_loss_is_the_mean_of_log_p(self, n):
+        from ilora_lab.model import _head, _head_loss
+        net = make_tiny_net(d=16, h=32, e=16, c=4)
+        rng = np.random.default_rng(n)
+        z = rng.standard_normal((n, net.e)) * 3.0
+        y = rng.integers(0, net.c, n)
+        p = softmax(_head(net, z))
+        want = float(-np.mean(np.log(p[np.arange(n), y])))
+        loss, _, _ = _head_loss(net, z, y)
+        assert _bytes(loss) == _bytes(want)
+
+    def test_softmax_matches_the_wrapper_form(self):
+        rng = np.random.default_rng(11)
+        for n, c in ((1, 1), (1, 4), (16, 4), (17, 10), (1280, 4)):
+            logits = rng.standard_normal((n, c)) * 10.0 ** rng.integers(
+                -3, 3, (n, c))
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            ex = np.exp(shifted)
+            want = ex / ex.sum(axis=1, keepdims=True)
+            assert softmax(logits).tobytes() == want.tobytes()
+
+    def test_backbone_grad_matches_the_sum_form(self):
+        from ilora_lab.model import (_embed_cached, _head_loss,
+                                     _hidden_backward, backbone_loss_and_grad)
+        from ilora_lab import matmul
+        net = make_tiny_net(d=16, h=32, e=16, c=4)
+        for n in (1, 16, 17):
+            batch = make_batch(RngState(n), n, net.d, net.c)
+            z, h1 = _embed_cached(net, net.W1, net.W2, batch.X)
+            want_loss, dlogits, dz = _head_loss(net, z, batch.y)
+            dW1, dW2, dpre1 = _hidden_backward(dz, h1, batch.X, net.W2)
+            want = join_params(dW1, dpre1.sum(axis=0), dW2, dz.sum(axis=0),
+                               matmul(dlogits.T, z), dlogits.sum(axis=0))
+            loss, grad = backbone_loss_and_grad(net, batch)
+            assert _bytes(loss) == _bytes(want_loss)
+            assert grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 17, 64, 256])
+    def test_deviation_term_is_the_mean_of_squares(self, n):
+        net = make_tiny_net(d=16, h=32, e=16, c=4)
+        batch = make_batch(RngState(4), 16, net.d, net.c)
+        for seed in range(4):
+            theta = random_theta(net, seed=3 + seed)
+            mem = make_batch(RngState(5 + seed), n, net.d, net.c)
+            z_target = embed(net, random_theta(net, seed=6 + seed), mem.X)
+            ce, _ = loss_and_grad(net, theta, batch)
+            diff = embed(net, theta, mem.X) - z_target
+            want = ce + 1e3 * float(np.mean(diff * diff))
+            loss, _ = loss_and_grad(net, theta, batch, gamma=1e3,
+                                    mem_batch=mem, z_target=z_target)
+            assert _bytes(loss) == _bytes(want), seed

@@ -105,6 +105,83 @@ class TestMatmulBitExact:
             assert not np.signbit(out).any()
             assert out.tobytes() == triple_loop_matmul(a, b).tobytes()
 
+    def test_skewed_shapes_just_under_the_cutoff(self):
+        # the product array's inner axis is the longer of m and n; when
+        # n < m the kernel sums b x a.T and returns its transpose
+        rng = np.random.default_rng(13)
+        for m, k, n in ((256, 16, 8), (255, 16, 8), (1024, 32, 1),
+                        (8, 16, 256), (8, 16, 255), (1, 32, 1024),
+                        (64, 2, 255), (2, 64, 255)):
+            assert m * k * n <= _VECTOR_MAX_ELEMS
+            for layout_a in self.LAYOUTS:
+                for layout_b in self.LAYOUTS:
+                    a = operand(rng, m, k, layout_a)
+                    b = operand(rng, k, n, layout_b)
+                    out = matmul(a, b)
+                    assert out.flags.c_contiguous, (m, k, n)
+                    assert_bit_equal_to_loop(a, b, rng,
+                                             max_full=_VECTOR_MAX_ELEMS)
+
+
+class TestMatmulOperands:
+    """2-D float64 ndarrays go straight to the kernel; every other operand
+    goes through as_matrix, as before."""
+
+    A = [[1.5, -0.0, 2.0], [0.25, 3.0, -1.0]]
+    # a 2x2 and a 2x1 product: both orientations of the vector path
+    PARTNERS = ([[2.0, 0.5], [-0.0, 1.0], [4.0, -2.5]],
+                [[-0.0], [1.0], [4.0]])
+
+    def reference(self, a, b):
+        return triple_loop_matmul(np.asarray(a, dtype=np.float64),
+                                  np.asarray(b, dtype=np.float64))
+
+    @pytest.mark.parametrize("convert", [
+        lambda x: x,
+        np.array,
+        np.asfortranarray,
+        lambda x: np.array(x, dtype=np.float32),
+        lambda x: np.array(x, dtype=">f8"),
+        lambda x: np.array(x).view(_Sub),
+    ], ids=["list", "ndarray", "fortran", "float32", "big-endian",
+            "subclass"])
+    def test_converted_operands_give_the_loop_bytes(self, convert):
+        for partner in self.PARTNERS:
+            a, b = convert(self.A), convert(partner)
+            out = matmul(a, b)
+            assert type(out) is np.ndarray and out.dtype == np.float64
+            assert out.tobytes() == self.reference(a, b).tobytes()
+            assert matmul(self.A, b).tobytes() == out.tobytes()
+            assert matmul(a, np.array(partner)).tobytes() == out.tobytes()
+
+    def test_int64_operands(self):
+        a = np.arange(6, dtype=np.int64).reshape(2, 3) - 2
+        b = np.arange(6, dtype=np.int64).reshape(3, 2)
+        out = matmul(a, b)
+        assert out.dtype == np.float64
+        assert out.tobytes() == self.reference(a, b).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.zeros(3), np.zeros((1, 3, 2)),
+                                     [1.0, 2.0], np.float64(1.0)],
+                             ids=["1-D", "3-D", "flat-list", "0-D"])
+    def test_non_matrices_rejected(self, bad):
+        good = np.zeros((3, 3))
+        for a, b in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match="expected 2-D matrix"):
+                matmul(a, b)
+
+    def test_inputs_are_not_modified(self):
+        a = np.array(self.A)
+        b = np.array(self.PARTNERS[0])
+        before = a.tobytes(), b.tobytes()
+        matmul(a, b)
+        matmul(a.T, a)
+        assert (a.tobytes(), b.tobytes()) == before
+
+
+class _Sub(np.ndarray):
+    pass
+
 
 class TestMatmul:
     def test_identity(self):
