@@ -130,14 +130,14 @@ def read_echo(run_dir) -> dict:
     return read_json(Path(run_dir) / "config_echo.json")
 
 
-def _task_spec(cfg: dict) -> TaskSpec:
+def task_spec(cfg: dict) -> TaskSpec:
     return TaskSpec(**{k: v for k, v in cfg["stream"].items() if k != "tasks"})
 
 
 def rebuild_environment(cfg: dict):
     """Deterministically regenerate (stream, backbone network) from a config."""
     seed = cfg["seed"]
-    stream = make_stream(seed, cfg["stream"]["tasks"], _task_spec(cfg))
+    stream = make_stream(seed, cfg["stream"]["tasks"], task_spec(cfg))
     net = pretrain_backbone(stream.anchor[0], ArchConfig(**cfg["arch"]),
                             seed, classes=cfg["stream"]["classes"])
     return stream, net
@@ -182,5 +182,5 @@ class SavedRun:
 
     def evals(self, tasks: int) -> list[Batch]:
         """The first `tasks` eval sets; the training sets are skipped."""
-        return make_stream(self.cfg["seed"], tasks, _task_spec(self.cfg),
+        return make_stream(self.cfg["seed"], tasks, task_spec(self.cfg),
                            train_sets=False).evals

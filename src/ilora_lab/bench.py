@@ -32,6 +32,10 @@ class TaskSpec:
     mean_shift: float = 0.5
     class_separation: float = 2.0
 
+    def __post_init__(self):
+        if self.cluster_std < 0.0:
+            raise ValueError("cluster_std must be >= 0")
+
 
 @dataclass(frozen=True)
 class TaskStream:

@@ -19,8 +19,8 @@ import numpy as np
 # callers import them from cli, and the benchmark's tracer finds them here.
 from .artifacts import (SavedRun, claim_run_dir,  # noqa: F401
                         load_checkpoint, read_echo, read_json,
-                        rebuild_environment, save_checkpoint, write_csv,
-                        write_run)
+                        rebuild_environment, save_checkpoint, task_spec,
+                        write_csv, write_run)
 from .bench import ArchConfig, TaskSpec
 from .connectivity import (default_lambda_grid, landscape_grid, linear_cka,
                            sweep_lambda, weight_distance)
@@ -100,7 +100,8 @@ def validate_config(raw: dict) -> dict:
            "out_dir": out_dir}
     # the dataclasses' own checks: kind, ranges
     _strategy_config(cfg)
-    _build(ArchConfig, **cfg["arch"])
+    _build(ArchConfig, **cfg["arch"], block="arch")
+    _build(task_spec, cfg, block="stream")
     return cfg
 
 
@@ -115,12 +116,14 @@ def _check_seed(seed):
     return seed
 
 
-def _build(cls, **kwargs):
-    """cls(**kwargs), its own range checks failing as a ConfigError."""
+def _build(make, *args, block: str = "", **kwargs):
+    """make(*args, **kwargs), its range checks failing as a ConfigError.
+    ``block`` is the config block that holds every field checked, so the
+    message names the key as ``block.field``."""
     try:
-        return cls(**kwargs)
+        return make(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{block}.{exc}" if block else str(exc)) from exc
 
 
 def _strategy_config(cfg: dict) -> StrategyConfig:

@@ -4,7 +4,7 @@ All numeric state is float64 numpy. The matmul kernel accumulates over the
 inner dimension in ascending order so results are bit-identical to a naive
 triple loop, independent of BLAS build details. An operand that is already a
 2-D float64 ndarray is used as it is; anything else goes through
-``as_matrix``. The kernel has two paths:
+``as_matrix``. The kernel has three paths:
 
 - small products (K*m*n <= _VECTOR_MAX_ELEMS, output not 1x1) build a
   C-contiguous array of the K x m x n products and sum it over its outer
@@ -19,6 +19,19 @@ triple loop, independent of BLAS build details. An operand that is already a
 - larger products loop over k, reading column k of a in place and row k of
   a C-contiguous b, and accumulate into one reused buffer, so the temporary
   stays m x n.
+- larger products with max(m, n) >= _LONG_ROW run that loop along the
+  longer axis, unbuffered. numpy copies both operands of the loop's
+  broadcast multiply into its ufunc buffers (8,192 values by default)
+  when a row is shorter than the buffer; with the buffer size at most the
+  row length it runs its vector loop on each row in place, 2-3x faster.
+  So around this loop only, the buffer size is the row length rounded down
+  to a multiple of 16 (numpy rejects other sizes); a ``finally`` restores
+  the caller's size on return and on an exception. For n < m the loop
+  reads row k of b in place and row k of a C-order copy of a.T, made
+  _AT_BLOCK rows at a time, accumulates the n x m transpose and returns it
+  as a C-contiguous copy; products commute, so the bytes are the same.
+  Shorter rows keep numpy's default buffer: at 32 values a row-sized one
+  is slower.
 
 The kernel does not check finiteness; the model checks its losses,
 gradients, logits and embeddings once per call instead, with ``all_finite``.
@@ -246,6 +259,11 @@ _FLOAT64 = np.dtype(np.float64)
 # Largest K*m*n product that matmul computes as one K x m x n array
 # (32k float64 values, a 256 KB temporary); larger products take the k loop.
 _VECTOR_MAX_ELEMS = 1 << 15
+# Shortest k-loop row that runs unbuffered (see the module docstring).
+_LONG_ROW = 256
+# Rows of a.T that the n < m long-row loop copies at a time, so the copy
+# stays 8 x m (80 KB at the 1,280-row sweep) instead of K x m.
+_AT_BLOCK = 8
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -268,13 +286,38 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(np.add.reduce(
             np.multiply(b[:, :, None], at[:, None, :], order="C"),
             axis=0, initial=0.0).T)
-    b = np.ascontiguousarray(b)
-    out = np.zeros((m, n))
-    tmp = np.empty((m, n))
-    for k in range(K):
+    if max(m, n) < _LONG_ROW:
+        return _k_loop(a, np.ascontiguousarray(b))
+    caller_bufsize = np.setbufsize(max(m, n) // 16 * 16)
+    try:
+        if n >= m:
+            return _k_loop(a, np.ascontiguousarray(b))
+        out_t = np.zeros((n, m))
+        tmp = np.empty_like(out_t)
+        for k in range(0, K, _AT_BLOCK):
+            _accumulate(out_t, tmp, b.T[:, k:k + _AT_BLOCK],
+                        np.ascontiguousarray(a[:, k:k + _AT_BLOCK].T))
+        del tmp
+    finally:
+        np.setbufsize(caller_bufsize)
+    return np.ascontiguousarray(out_t.T)
+
+
+def _k_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k a[:, k] (x) b[k], k ascending from +0.0, through one reused
+    m x n buffer; b is C-contiguous."""
+    out = np.zeros((a.shape[0], b.shape[1]))
+    _accumulate(out, np.empty_like(out), a, b)
+    return out
+
+
+def _accumulate(out: np.ndarray, tmp: np.ndarray, a: np.ndarray,
+                b: np.ndarray) -> None:
+    """out += a[:, k] (x) b[k] for k ascending, each term made in tmp; b is
+    C-contiguous."""
+    for k in range(a.shape[1]):
         np.multiply(a[:, k, None], b[k], out=tmp)
         out += tmp
-    return out
 
 
 def all_finite(x: np.ndarray) -> bool:

@@ -188,11 +188,12 @@ class TestRunCommand:
         ({"arch": {"pretrain_lr": -0.5}}, {}),
         ({"training": {"warmup_ratio": -1.0}}, {}),
         ({"training": {"warmup_ratio": 1.5}}, {}),
+        ({"stream": {"cluster_std": -0.5}}, {}),
     ], ids=["epochs-str", "rank-0", "gamma-nan", "batch-bool", "n_train-0",
             "base_lr-inf", "base_lr-huge-int", "deploy_slow-int",
             "optimizer-null", "out_dir-int", "base_lr-negative",
             "pretrain_lr-negative", "warmup_ratio-negative",
-            "warmup_ratio-above-1"])
+            "warmup_ratio-above-1", "cluster_std-negative"])
     def test_mistyped_value_exit_2_before_writing(self, tmp_path, capsys,
                                                   monkeypatch, overrides,
                                                   top):
@@ -210,6 +211,12 @@ class TestRunCommand:
     def test_bad_rate_or_warmup_names_the_key(self, block, key, value):
         with pytest.raises(ConfigError, match=key):
             validate_config({block: {key: value}})
+
+    @pytest.mark.parametrize("block, key", [("stream", "cluster_std"),
+                                            ("arch", "pretrain_lr")])
+    def test_one_block_checks_name_the_block(self, block, key):
+        with pytest.raises(ConfigError, match=rf"^{block}\.{key} must be"):
+            validate_config({block: {key: -0.5}})
 
     def test_zero_rates_and_warmup_bounds_accepted(self):
         for training in ({"base_lr": 0, "warmup_ratio": 0.0},
@@ -356,6 +363,30 @@ def ilora_run(tmp_path_factory):
     out = tmp / "run"
     assert main(["run", str(cfg), "--out", str(out)]) == 0
     return out
+
+
+def test_wide_run_and_sweep_keep_the_buffer_size(tmp_path, monkeypatch):
+    # 256 hidden units and 32-row batches send the forward and backward
+    # passes through matmul's long-row loop, which sets numpy's buffer size
+    cfg = write_config(tmp_path, {
+        "stream": {"tasks": 2},
+        "arch": {"hidden": 256, "pretrain_epochs": 1, "pretrain_batch": 32},
+        "training": {"epochs": 1, "batch_size": 32}})
+    setbufsize = np.setbufsize
+    sizes = []
+    monkeypatch.setattr(np, "setbufsize",
+                        lambda size: sizes.append(size) or setbufsize(size))
+    old = setbufsize(4096)
+    try:
+        out = tmp_path / "run"
+        assert main(["run", str(cfg), "--out", str(out)]) == 0
+        assert np.getbufsize() == 4096
+        in_run = len(sizes)
+        assert main(["sweep-lambda", str(out), "--transition", "1"]) == 0
+        assert np.getbufsize() == 4096
+        assert 0 < in_run < len(sizes)
+    finally:
+        setbufsize(old)
 
 
 class TestSweepCommand:

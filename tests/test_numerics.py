@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ilora_lab import RngState, finite_diff_grad, gaussian_fill, matmul
-from ilora_lab.numerics import (_FILL_CHUNK, _JUMP_ROWS, _MASK64,
+from ilora_lab.numerics import (_FILL_CHUNK, _JUMP_ROWS, _LONG_ROW, _MASK64,
                                 _XORSHIFT_MULT, _VECTOR_MAX_ELEMS, _box_muller,
                                 skip_gaussian_fill)
 
@@ -121,6 +121,75 @@ class TestMatmulBitExact:
                     assert out.flags.c_contiguous, (m, k, n)
                     assert_bit_equal_to_loop(a, b, rng,
                                              max_full=_VECTOR_MAX_ELEMS)
+
+
+class TestMatmulLongRows:
+    """k-loop products with a row of at least _LONG_ROW values run along
+    their longer axis with numpy's buffer size set to that row length
+    (rounded down to a multiple of 16), then restore the caller's."""
+
+    # (long side, k, short side), each over the vector cutoff
+    SHAPES = ((255, 17, 8), (256, 17, 8), (257, 17, 8), (300, 17, 8),
+              (1820, 5, 4))
+
+    def test_long_rows_give_the_loop_bytes(self):
+        rng = np.random.default_rng(29)
+        layouts = TestMatmulBitExact.LAYOUTS
+        for long, k, short in self.SHAPES:
+            for m, n in ((long, short), (short, long)):
+                assert k * m * n > _VECTOR_MAX_ELEMS
+                for layout_a in layouts:
+                    for layout_b in layouts:
+                        a = operand(rng, m, k, layout_a)
+                        b = operand(rng, k, n, layout_b)
+                        out = matmul(a, b)
+                        assert out.flags.c_contiguous, (m, k, n)
+                        assert_bit_equal_to_loop(a, b, rng,
+                                                 max_full=k * m * n)
+
+    @pytest.fixture
+    def bufsize_4096(self):
+        old = np.setbufsize(4096)
+        yield
+        np.setbufsize(old)
+
+    @pytest.mark.parametrize("m, n", [(1820, 4), (4, 1820), (300, 8),
+                                      (64, 64)])
+    def test_buffer_size_scoped_to_the_loop(self, monkeypatch, bufsize_4096,
+                                            m, n):
+        # the loop sees the row length rounded down to a multiple of 16;
+        # rows under _LONG_ROW keep the caller's size
+        seen = []
+        multiply = np.multiply
+
+        def spy(*args, **kwargs):
+            seen.append(np.getbufsize())
+            return multiply(*args, **kwargs)
+
+        monkeypatch.setattr(np, "multiply", spy)
+        matmul(np.ones((m, 16)), np.ones((16, n)))
+        long = max(m, n)
+        assert set(seen) == {long - long % 16 if long >= _LONG_ROW
+                             else 4096}
+        assert np.getbufsize() == 4096
+
+    @pytest.mark.parametrize("m, n", [(1820, 4), (4, 1820)])
+    def test_buffer_size_restored_after_an_error(self, monkeypatch,
+                                                 bufsize_4096, m, n):
+        calls = []
+        multiply = np.multiply
+
+        def fail_third(*args, **kwargs):
+            calls.append(np.getbufsize())
+            if len(calls) == 3:
+                raise FloatingPointError("injected")
+            return multiply(*args, **kwargs)
+
+        monkeypatch.setattr(np, "multiply", fail_third)
+        with pytest.raises(FloatingPointError, match="injected"):
+            matmul(np.ones((m, 16)), np.ones((16, n)))
+        assert calls == [1808] * 3
+        assert np.getbufsize() == 4096
 
 
 class TestMatmulOperands:
