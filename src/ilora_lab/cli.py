@@ -134,10 +134,12 @@ def _strategy_config(cfg: dict) -> StrategyConfig:
 
 def _exit_code(command):
     """Wrap a command so its failures end in an exit code and a one-line
-    message; success returns EXIT_OK."""
+    message; success returns EXIT_OK. numpy's floating-point warnings are
+    off inside: a non-finite value is reported once, as exit 4."""
     def run(*args, **kwargs) -> int:
         try:
-            command(*args, **kwargs)
+            with np.errstate(all="ignore"):
+                command(*args, **kwargs)
         except (FileNotFoundError, IsADirectoryError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_MISSING

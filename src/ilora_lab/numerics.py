@@ -4,34 +4,37 @@ All numeric state is float64 numpy. The matmul kernel accumulates over the
 inner dimension in ascending order so results are bit-identical to a naive
 triple loop, independent of BLAS build details. An operand that is already a
 2-D float64 ndarray is used as it is; anything else goes through
-``as_matrix``. The kernel has three paths:
+``as_matrix``.
+
+The product is the sum over k of the outer products of column k of a and
+row k of b, and the kernel computes it as ``_outer_sum(x, y)``, the sum over
+k of x[k] (x) y[k] for two K-row operands. It makes one orientation switch:
+x = a.T and y = b, or, when n < m, x = b and y = a.T, returning the n x m
+result's transpose as a C-contiguous copy. Products commute and every entry
+is still summed k-ascending from +0.0, so the bytes are the same, and the
+rows of the product it computes are never shorter than its columns. It
+then takes one of two paths:
 
 - small products (K*m*n <= _VECTOR_MAX_ELEMS, output not 1x1) build a
-  C-contiguous array of the K x m x n products and sum it over its outer
-  axis, which numpy does slice by slice, i.e. k-ascending. The array's
-  inner axis is the longer of m and n, because numpy runs one inner loop
-  per row and fewer, longer rows cost less: when n < m the array holds
-  b[k, j] * a[i, k] as K x n x m, and the n x m sum comes back as a
-  C-contiguous transpose (products commute, so the bytes are the same).
-  The sum starts from ``initial=0.0``, the loop's own zero start, so a
-  ``-0.0`` total comes out ``+0.0``. A 1x1 output is left to the loop
-  because numpy reduces a contiguous axis pairwise.
-- larger products loop over k, reading column k of a in place and row k of
-  a C-contiguous b, and accumulate into one reused buffer, so the temporary
-  stays m x n.
-- larger products with max(m, n) >= _LONG_ROW run that loop along the
-  longer axis, unbuffered. numpy copies both operands of the loop's
-  broadcast multiply into its ufunc buffers (8,192 values by default)
-  when a row is shorter than the buffer; with the buffer size at most the
-  row length it runs its vector loop on each row in place, 2-3x faster.
-  So around this loop only, the buffer size is the row length rounded down
-  to a multiple of 16 (numpy rejects other sizes); a ``finally`` restores
-  the caller's size on return and on an exception. For n < m the loop
-  reads row k of b in place and row k of a C-order copy of a.T, made
-  _AT_BLOCK rows at a time, accumulates the n x m transpose and returns it
-  as a C-contiguous copy; products commute, so the bytes are the same.
-  Shorter rows keep numpy's default buffer: at 32 values a row-sized one
-  is slower.
+  C-contiguous array of the K x rows x cols products and sum it over its
+  outer axis, which numpy does slice by slice, i.e. k-ascending. Its inner
+  axis is the longer side, because numpy runs one inner loop per row and
+  fewer, longer rows cost less. The sum starts from ``initial=0.0``, the
+  loop's own zero start, so a ``-0.0`` total comes out ``+0.0``. A 1x1
+  output is left to the loop because numpy reduces a contiguous axis
+  pairwise.
+- larger products loop over k, making each outer product in one reused
+  buffer and adding it to the output, so the temporary stays the output's
+  size. x[k] is read in place; y is copied to C order _ROW_BLOCK rows at a
+  time (a view when it already is), so the copy stays _ROW_BLOCK rows. numpy
+  copies both operands of the loop's broadcast multiply into its ufunc
+  buffers (8,192 values by default) when a row is shorter than the buffer;
+  with the buffer size at most the row length it runs its vector loop on
+  each row in place, 2-3x faster at 256-value rows. So around the loop the
+  buffer size is the row length rounded down to a multiple of 16 (numpy
+  rejects other sizes), and at least 16; a ``finally`` restores the
+  caller's size on return and on an exception. Every operation in the loop
+  is elementwise, so the buffer size changes no bytes.
 
 The kernel does not check finiteness; the model checks its losses,
 gradients, logits and embeddings once per call instead, with ``all_finite``.
@@ -259,11 +262,8 @@ _FLOAT64 = np.dtype(np.float64)
 # Largest K*m*n product that matmul computes as one K x m x n array
 # (32k float64 values, a 256 KB temporary); larger products take the k loop.
 _VECTOR_MAX_ELEMS = 1 << 15
-# Shortest k-loop row that runs unbuffered (see the module docstring).
-_LONG_ROW = 256
-# Rows of a.T that the n < m long-row loop copies at a time, so the copy
-# stays 8 x m (80 KB at the 1,280-row sweep) instead of K x m.
-_AT_BLOCK = 8
+# Rows of y that the k loop copies to C order at a time.
+_ROW_BLOCK = 8
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -273,51 +273,33 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = as_matrix(a)
     if type(b) is not np.ndarray or b.dtype is not _FLOAT64 or b.ndim != 2:
         b = as_matrix(b)
-    m, K = a.shape
-    if K != b.shape[0]:
+    if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    n = b.shape[1]
+    if b.shape[1] < a.shape[0]:
+        return np.ascontiguousarray(_outer_sum(b, a.T).T)
+    return _outer_sum(a.T, b)
+
+
+def _outer_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x.T @ y for K-row x and y, y at least as wide as x: the sum over k
+    of the outer products x[k] (x) y[k], k ascending from +0.0."""
+    K, m = x.shape
+    n = y.shape[1]
     if m * n > 1 and K * m * n <= _VECTOR_MAX_ELEMS:
-        at = a.T
-        if n >= m:
-            return np.add.reduce(
-                np.multiply(at[:, :, None], b[:, None, :], order="C"),
-                axis=0, initial=0.0)
-        return np.ascontiguousarray(np.add.reduce(
-            np.multiply(b[:, :, None], at[:, None, :], order="C"),
-            axis=0, initial=0.0).T)
-    if max(m, n) < _LONG_ROW:
-        return _k_loop(a, np.ascontiguousarray(b))
-    caller_bufsize = np.setbufsize(max(m, n) // 16 * 16)
+        return np.add.reduce(np.multiply(x[:, :, None], y[:, None, :],
+                                         order="C"), axis=0, initial=0.0)
+    out = np.zeros((m, n))
+    tmp = np.empty_like(out)
+    caller_bufsize = np.setbufsize(max(16, n // 16 * 16))
     try:
-        if n >= m:
-            return _k_loop(a, np.ascontiguousarray(b))
-        out_t = np.zeros((n, m))
-        tmp = np.empty_like(out_t)
-        for k in range(0, K, _AT_BLOCK):
-            _accumulate(out_t, tmp, b.T[:, k:k + _AT_BLOCK],
-                        np.ascontiguousarray(a[:, k:k + _AT_BLOCK].T))
-        del tmp
+        for start in range(0, K, _ROW_BLOCK):
+            rows = np.ascontiguousarray(y[start:start + _ROW_BLOCK])
+            for k, y_k in enumerate(rows, start):
+                np.multiply(x[k, :, None], y_k, out=tmp)
+                out += tmp
     finally:
         np.setbufsize(caller_bufsize)
-    return np.ascontiguousarray(out_t.T)
-
-
-def _k_loop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_k a[:, k] (x) b[k], k ascending from +0.0, through one reused
-    m x n buffer; b is C-contiguous."""
-    out = np.zeros((a.shape[0], b.shape[1]))
-    _accumulate(out, np.empty_like(out), a, b)
     return out
-
-
-def _accumulate(out: np.ndarray, tmp: np.ndarray, a: np.ndarray,
-                b: np.ndarray) -> None:
-    """out += a[:, k] (x) b[k] for k ascending, each term made in tmp; b is
-    C-contiguous."""
-    for k in range(a.shape[1]):
-        np.multiply(a[:, k, None], b[k], out=tmp)
-        out += tmp
 
 
 def all_finite(x: np.ndarray) -> bool:

@@ -2,6 +2,7 @@ import json
 import os
 import shutil
 import stat
+import warnings
 
 import numpy as np
 import pytest
@@ -367,7 +368,7 @@ def ilora_run(tmp_path_factory):
 
 def test_wide_run_and_sweep_keep_the_buffer_size(tmp_path, monkeypatch):
     # 256 hidden units and 32-row batches send the forward and backward
-    # passes through matmul's long-row loop, which sets numpy's buffer size
+    # passes through matmul's k loop, which sets numpy's buffer size
     cfg = write_config(tmp_path, {
         "stream": {"tasks": 2},
         "arch": {"hidden": 256, "pretrain_epochs": 1, "pretrain_batch": 32},
@@ -643,6 +644,20 @@ class TestNumericFailure:
         assert main(["probe", str(nan_run), "wd"]) == 4
         assert_one_line_error(capsys, "error: numeric failure: ")
         assert not (nan_run / "wd.csv").exists()
+
+    def test_overflowing_stream_prints_one_line(self, tmp_path, capsys):
+        # the loss takes log(0) on the way to the non-finite check; numpy's
+        # RuntimeWarning for it must not come before the one-line error
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(
+            {"stream": {"tasks": 2, "n_train": 32, "mean_shift": 1e300}}))
+        before = np.geterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 4
+        assert [str(w.message) for w in caught] == []
+        assert_one_line_error(capsys, "error: numeric failure: ")
+        assert np.geterr() == before
 
 
 class TestCorruptCheckpoint:

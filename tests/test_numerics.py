@@ -2,20 +2,24 @@ import numpy as np
 import pytest
 
 from ilora_lab import RngState, finite_diff_grad, gaussian_fill, matmul
-from ilora_lab.numerics import (_FILL_CHUNK, _JUMP_ROWS, _LONG_ROW, _MASK64,
+from ilora_lab.numerics import (_FILL_CHUNK, _JUMP_ROWS, _MASK64,
                                 _XORSHIFT_MULT, _VECTOR_MAX_ELEMS, _box_muller,
                                 skip_gaussian_fill)
 
 
 def triple_loop_matmul(a, b):
-    m, k = a.shape
+    """The naive product: each entry summed k-ascending from 0.0. It runs on
+    Python floats, the same IEEE doubles as the float64 entries."""
+    m, _ = a.shape
     _, n = b.shape
+    rows = np.asarray(a, dtype=np.float64).tolist()
+    cols = np.asarray(b, dtype=np.float64).T.tolist()
     out = np.zeros((m, n))
     for i in range(m):
         for j in range(n):
             s = 0.0
-            for kk in range(k):
-                s += a[i, kk] * b[kk, j]
+            for x, y in zip(rows[i], cols[j]):
+                s += x * y
             out[i, j] = s
     return out
 
@@ -124,13 +128,15 @@ class TestMatmulBitExact:
 
 
 class TestMatmulLongRows:
-    """k-loop products with a row of at least _LONG_ROW values run along
-    their longer axis with numpy's buffer size set to that row length
-    (rounded down to a multiple of 16), then restore the caller's."""
+    """k-loop products run along their longer axis with numpy's buffer size
+    set to that row length rounded down to a multiple of 16 (at least 16),
+    then restore the caller's."""
 
-    # (long side, k, short side), each over the vector cutoff
+    # (long side, k, short side), each over the vector cutoff: around and
+    # over 256-value rows, the stacked 1,820-row sweep, wide-adapter's three
+    # 64-value-row products and a loop whose longer side is under 16
     SHAPES = ((255, 17, 8), (256, 17, 8), (257, 17, 8), (300, 17, 8),
-              (1820, 5, 4))
+              (1820, 5, 4), (64, 256, 64), (64, 256, 32), (4, 4096, 4))
 
     def test_long_rows_give_the_loop_bytes(self):
         rng = np.random.default_rng(29)
@@ -154,11 +160,12 @@ class TestMatmulLongRows:
         np.setbufsize(old)
 
     @pytest.mark.parametrize("m, n", [(1820, 4), (4, 1820), (300, 8),
-                                      (64, 64)])
+                                      (64, 64), (4, 4)])
     def test_buffer_size_scoped_to_the_loop(self, monkeypatch, bufsize_4096,
                                             m, n):
-        # the loop sees the row length rounded down to a multiple of 16;
-        # rows under _LONG_ROW keep the caller's size
+        # every k-loop product sees its longer side rounded down to a
+        # multiple of 16, at least 16; the caller's size is back afterwards
+        k = max(16, _VECTOR_MAX_ELEMS // (m * n) + 1)
         seen = []
         multiply = np.multiply
 
@@ -167,10 +174,9 @@ class TestMatmulLongRows:
             return multiply(*args, **kwargs)
 
         monkeypatch.setattr(np, "multiply", spy)
-        matmul(np.ones((m, 16)), np.ones((16, n)))
+        matmul(np.ones((m, k)), np.ones((k, n)))
         long = max(m, n)
-        assert set(seen) == {long - long % 16 if long >= _LONG_ROW
-                             else 4096}
+        assert set(seen) == {max(16, long // 16 * 16)}
         assert np.getbufsize() == 4096
 
     @pytest.mark.parametrize("m, n", [(1820, 4), (4, 1820)])
@@ -190,6 +196,30 @@ class TestMatmulLongRows:
             matmul(np.ones((m, 16)), np.ones((16, n)))
         assert calls == [1808] * 3
         assert np.getbufsize() == 4096
+
+
+class TestMatmulCallerBufsize:
+    """The caller's ufunc buffer size changes no byte of a product: the k
+    loop sets its own, and the vector path's sum is k-ascending at any."""
+
+    # vector path and k loop, both orientations, and the 1x1 output
+    SHAPES = ((8, 16, 64), (64, 16, 8), (64, 256, 32), (32, 256, 64),
+              (300, 17, 8), (8, 17, 300), (1, 300, 1))
+
+    @pytest.mark.parametrize("m, k, n", SHAPES)
+    def test_bytes_do_not_depend_on_the_callers_buffer(self, m, k, n):
+        rng = np.random.default_rng(m * 1000 + n)
+        a = operand(rng, m, k, "T")
+        b = operand(rng, k, n, "strided")
+        outs = set()
+        for size in (16, 8192, 1 << 16):
+            old = np.setbufsize(size)
+            try:
+                outs.add(matmul(a, b).tobytes())
+                assert np.getbufsize() == size
+            finally:
+                np.setbufsize(old)
+        assert len(outs) == 1
 
 
 class TestMatmulOperands:

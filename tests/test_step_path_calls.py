@@ -17,7 +17,7 @@ WRAPPERS = {"sum", "mean", "max", "min", "all", "any", "prod", "amax",
             "amin"}
 
 STEP_PATH = {
-    "numerics.py": ("matmul", "_k_loop", "_accumulate", "all_finite"),
+    "numerics.py": ("matmul", "_outer_sum", "all_finite"),
     "model.py": ("softmax", "_head", "_head_loss", "_embed_cached",
                  "_effective_weights", "_hidden_backward",
                  "_adapter_grads_from_embedding_grad", "_check_finite",
