@@ -22,10 +22,9 @@ from .artifacts import (SavedRun, claim_run_dir,  # noqa: F401
                         rebuild_environment, save_checkpoint, task_spec,
                         write_csv, write_run)
 from .bench import ArchConfig, TaskSpec
-from .connectivity import (default_lambda_grid, landscape_grid, linear_cka,
-                           sweep_lambda, weight_distance)
+from .connectivity import (default_lambda_grid, embeddings, landscape_grid,
+                           linear_cka, sweep_lambda, weight_distance)
 from .metrics import general_retention
-from .model import embed
 from .numerics import RngState
 from .strategies import StrategyConfig, run_sequence
 
@@ -219,13 +218,11 @@ def cmd_probe(run_dir: str, kind: str, transition: int = 1,
             rows.append((t, wd[0], wd[-1]))  # single memory: WD_l is WD_w
         write_csv(run.out / "wd.csv", "transition,WD_w,WD_l", rows)
     elif kind == "cka":
-        probe = run.evals(1)[0]
-        rows = []
-        for t in range(1, T):
-            za = embed(run.net, run.params(t, "working"), probe.X)
-            zb = embed(run.net, run.params(t + 1, "working"), probe.X)
-            rows.append((t, linear_cka(za, zb)))
-        write_csv(run.out / "cka.csv", "transition,cka", rows)
+        zs = list(embeddings(run.net, (run.params(t, "working")
+                                       for t in range(1, T + 1)),
+                             run.evals(1)[0].X))
+        write_csv(run.out / "cka.csv", "transition,cka",
+                  [(t, linear_cka(zs[t - 1], zs[t])) for t in range(1, T)])
     else:
         t = transition
         theta0 = run.params(t, "working")

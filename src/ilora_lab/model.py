@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngState, all_finite, gaussian_fill, matmul
+from .numerics import (RngState, all_finite, gaussian_fill, matmul,
+                       stacked_matmul)
 
 ADAPTER_INIT_STD = 0.02
 
@@ -89,16 +90,21 @@ def param_length(net: Network) -> int:
 
 
 def split_params(net: Network, theta: np.ndarray):
-    """Views (A1, B1, A2, B2) into the flat vector; no copies."""
+    """Views (A1, B1, A2, B2) into the flat vector, or (G, ...) stacks of
+    them from the rows of a (G, P) stack of vectors; no copies."""
     r, d, h, e = net.rank, net.d, net.h, net.e
-    if theta.shape != (param_length(net),):
+    P = param_length(net)
+    if theta.ndim not in (1, 2) or theta.shape[-1] != P:
         raise ValueError(
-            f"parameter vector length {theta.shape} != ({param_length(net)},)")
+            f"parameter vector length {theta.shape} != ({P},)")
+    lead = theta.shape[:-1]
     o0 = r * d
     o1 = o0 + h * r
     o2 = o1 + r * h
-    return (theta[:o0].reshape(r, d), theta[o0:o1].reshape(h, r),
-            theta[o1:o2].reshape(r, h), theta[o2:].reshape(e, r))
+    return (theta[..., :o0].reshape(*lead, r, d),
+            theta[..., o0:o1].reshape(*lead, h, r),
+            theta[..., o1:o2].reshape(*lead, r, h),
+            theta[..., o2:].reshape(*lead, e, r))
 
 
 def join_params(*arrays: np.ndarray) -> np.ndarray:
@@ -116,9 +122,11 @@ def init_params(net: Network, rng: RngState) -> np.ndarray:
 
 
 def _effective_weights(net: Network, A1, B1, A2, B2):
-    """Adapted weight matrices from the four adapter factors."""
-    W1eff = net.W1 + net.scaling * matmul(B1, A1)
-    W2eff = net.W2 + net.scaling * matmul(B2, A2)
+    """Adapted weight matrices from the four adapter factors, or (G, ...)
+    stacks of them from stacks of factors."""
+    product = matmul if A1.ndim == 2 else stacked_matmul
+    W1eff = net.W1 + net.scaling * product(B1, A1)
+    W2eff = net.W2 + net.scaling * product(B2, A2)
     return W1eff, W2eff
 
 
@@ -145,6 +153,32 @@ def embed(net: Network, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
         raise ValueError(f"input dim {X.shape[1]} != {net.d}")
     W1eff, W2eff = _effective_weights(net, *split_params(net, theta))
     z, _ = _embed_cached(net, W1eff, W2eff, X)
+    if not all_finite(z):
+        raise ArithmeticError("non-finite embedding")
+    return z
+
+
+def stacked_embed(net: Network, thetas: np.ndarray,
+                  X: np.ndarray) -> np.ndarray:
+    """``embed(net, theta, X)`` for each row theta of a (G, P) stack, as one
+    C-contiguous (G, n, e) array whose slice g is byte for byte the embedding
+    of thetas[g]. Raises ArithmeticError on a non-finite embedding.
+
+    Every entry is the same k-ascending sum that ``embed`` computes: the
+    effective weights are one stacked product per factor pair, the first
+    layer is X times the G transposed W1eff side by side (each column of a
+    product is its own sum), and the second layer is one stacked product.
+    """
+    if X.shape[1] != net.d:
+        raise ValueError(f"input dim {X.shape[1]} != {net.d}")
+    G, n, h = len(thetas), len(X), net.h
+    W1eff, W2eff = _effective_weights(net, *split_params(net, thetas))
+    h1 = matmul(X, W1eff.transpose(2, 0, 1).reshape(net.d, G * h))
+    h1 = h1.reshape(n, G, h)
+    h1 += net.b1
+    np.maximum(h1, 0.0, out=h1)
+    z = stacked_matmul(h1.transpose(1, 0, 2), W2eff.transpose(0, 2, 1))
+    z += net.b2
     if not all_finite(z):
         raise ArithmeticError("non-finite embedding")
     return z

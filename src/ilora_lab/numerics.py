@@ -36,6 +36,15 @@ then takes one of two paths:
   caller's size on return and on an exception. Every operation in the loop
   is elementwise, so the buffer size changes no bytes.
 
+``stacked_matmul(a, b)`` computes the G products a[g] @ b[g] of a (G, m, K)
+and a (G, K, n) stack with the same orientation switch and the same
+``_outer_sum``, whose operands then carry a stack axis after k: x (K, G, m)
+and y (K, G, n). Both paths are written with ``...``, so one vector
+expression and one k loop serve 2-D and stacked operands; the vector budget
+counts the whole stack's K*G*m*n products. Slice g is byte for byte
+``matmul(a[g], b[g])``, and each k iteration does G products' work, which
+pays where many small products share their shapes. ``matmul`` stays 2-D.
+
 The kernel does not check finiteness; the model checks its losses,
 gradients, logits and embeddings once per call instead, with ``all_finite``.
 
@@ -280,22 +289,42 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _outer_sum(a.T, b)
 
 
+def stacked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The G products a[g] @ b[g] of a (G, m, K) and a (G, K, n) float64
+    stack as one C-contiguous (G, m, n) array, each bit-equal to
+    ``matmul(a[g], b[g])``."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] \
+            or a.shape[2] != b.shape[1]:
+        raise ValueError(f"stacked_matmul shape mismatch: "
+                         f"{a.shape} x {b.shape}")
+    x = a.transpose(2, 0, 1)
+    y = b.transpose(1, 0, 2)
+    if b.shape[2] < a.shape[1]:
+        return np.ascontiguousarray(_outer_sum(y, x).transpose(0, 2, 1))
+    return _outer_sum(x, y)
+
+
 def _outer_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x.T @ y for K-row x and y, y at least as wide as x: the sum over k
-    of the outer products x[k] (x) y[k], k ascending from +0.0."""
-    K, m = x.shape
-    n = y.shape[1]
-    if m * n > 1 and K * m * n <= _VECTOR_MAX_ELEMS:
-        return np.add.reduce(np.multiply(x[:, :, None], y[:, None, :],
+    of the outer products x[k] (x) y[k], k ascending from +0.0. x (K, m) and
+    y (K, n) give (m, n); stacks x (K, G, m) and y (K, G, n) give the G
+    products as (G, m, n)."""
+    m = x.shape[-1]
+    n = y.shape[-1]
+    if m * n > 1 and x.size * n <= _VECTOR_MAX_ELEMS:
+        return np.add.reduce(np.multiply(x[..., None], y[..., None, :],
                                          order="C"), axis=0, initial=0.0)
-    out = np.zeros((m, n))
+    out = np.zeros((*x.shape[1:], n))
     tmp = np.empty_like(out)
     caller_bufsize = np.setbufsize(max(16, n // 16 * 16))
     try:
-        for start in range(0, K, _ROW_BLOCK):
-            rows = np.ascontiguousarray(y[start:start + _ROW_BLOCK])
-            for k, y_k in enumerate(rows, start):
-                np.multiply(x[k, :, None], y_k, out=tmp)
+        for start in range(0, len(x), _ROW_BLOCK):
+            stop = start + _ROW_BLOCK
+            rows = np.ascontiguousarray(y[start:stop])[..., None, :]
+            for x_k, y_k in zip(x[start:stop, ..., None], rows):
+                np.multiply(x_k, y_k, out=tmp)
                 out += tmp
     finally:
         np.setbufsize(caller_bufsize)

@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from ilora_lab import RngState, gaussian_fill
+from ilora_lab import RngState, embed, gaussian_fill, linear_cka
+from ilora_lab.artifacts import write_csv
 from ilora_lab.cli import (ConfigError, load_checkpoint, main,
                            save_checkpoint, validate_config)
 
@@ -483,6 +484,33 @@ class TestProbeCommand:
             v = float(row.split(",")[1])
             assert 0.0 <= v <= 1.0 + 1e-12
 
+    def test_cka_embeds_each_checkpoint_once(self, seq_run, tmp_path,
+                                             monkeypatch):
+        from ilora_lab import connectivity
+        from ilora_lab.artifacts import SavedRun
+        run = copy_run(seq_run, tmp_path)
+        stacked = []
+        real = connectivity.stacked_embed
+
+        def spy(net, thetas, X):
+            stacked.append(len(thetas))
+            return real(net, thetas, X)
+
+        monkeypatch.setattr(connectivity, "stacked_embed", spy)
+        assert main(["probe", str(run), "cka"]) == 0
+        T = SMALL_CONFIG["stream"]["tasks"]
+        assert stacked == [T]
+        # the bytes of embedding each pair's checkpoints on their own
+        saved = SavedRun(run, validate_config(SMALL_CONFIG))
+        X = saved.evals(1)[0].X
+        rows = [(t, linear_cka(embed(saved.net, saved.params(t, "working"), X),
+                               embed(saved.net, saved.params(t + 1, "working"),
+                                     X)))
+                for t in range(1, T)]
+        write_csv(tmp_path / "want.csv", "transition,cka", rows)
+        assert (run / "cka.csv").read_bytes() == \
+            (tmp_path / "want.csv").read_bytes()
+
     def test_landscape_csv(self, ilora_run):
         assert main(["probe", str(ilora_run), "landscape",
                      "--transition", "1", "--grid-points", "5"]) == 0
@@ -639,6 +667,18 @@ class TestNumericFailure:
         assert main([argv[0], str(nan_run), *argv[1:]]) == 4
         assert_one_line_error(capsys, "error: numeric failure: ")
         assert not (nan_run / csv).exists()
+
+    def test_nan_direction_landscape_exit_4(self, ilora_run, tmp_path,
+                                            capsys):
+        # NaN in the slow learner: d2 of transition 1, the landscape's
+        # second direction, while theta0 and d1 stay finite
+        run = copy_run(ilora_run, tmp_path)
+        theta, _ = load_checkpoint(run / "task2_longterm.bin")
+        save_checkpoint(run / "task2_longterm.bin",
+                        np.full_like(theta, np.nan), 2, 0, "longterm")
+        assert main(["probe", str(run), "landscape", "--transition", "1"]) == 4
+        assert_one_line_error(capsys, "error: numeric failure: ")
+        assert not (run / "landscape.csv").exists()
 
     def test_nan_checkpoint_wd_exit_4(self, nan_run, capsys):
         assert main(["probe", str(nan_run), "wd"]) == 4

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ilora_lab import (RngState, default_lambda_grid, gaussian_fill,
-                       interpolate, landscape_grid, linear_cka,
+from ilora_lab import (RngState, connectivity, default_lambda_grid, embed,
+                       gaussian_fill, interpolate, landscape_grid, linear_cka,
                        predict_accuracy, sweep_lambda, weight_distance)
 
 from conftest import make_batch, make_tiny_net, random_theta
@@ -191,18 +191,54 @@ class TestLandscapeGrid:
         assert grid.values[2, 2] == 0.0
         assert np.all(grid.values >= 0.0)
 
-    def test_matches_direct_evaluation(self):
+    @staticmethod
+    def per_point(theta, d1, d2, a_grid, b_grid, net, probe):
+        """The landscape one embed per grid point: the reference bytes."""
+        z0 = embed(net, theta, probe.X)
+        values = np.zeros((len(a_grid), len(b_grid)))
+        for i, a in enumerate(np.asarray(a_grid, dtype=np.float64)):
+            for j, b in enumerate(np.asarray(b_grid, dtype=np.float64)):
+                if a != 0.0 or b != 0.0:
+                    z = embed(net, theta + a * d1 + b * d2, probe.X)
+                    values[i, j] = np.mean((z - z0) ** 2)
+        return values
+
+    # (net shape, probe rows, a points, b points, block budget): one point
+    # per block and a block holding every point; blocks of 3 and 7 that end
+    # mid-grid; 256 rows at the default shapes, 8 points a block, so the
+    # stacked k loops run, and 110 points end in a block of 6
+    CASES = ((dict(), 6, 1, 1, None), (dict(), 6, 3, 4, 6 * 5),
+             (dict(), 6, 5, 5, None), (dict(), 20, 4, 5, 3 * 20 * 5),
+             (dict(rank=3), 33, 7, 3, 7 * 33 * 5),
+             (dict(d=16, h=32, e=16, rank=8), 256, 11, 10, None))
+
+    def test_matches_direct_evaluation(self, monkeypatch):
+        default = connectivity._STACK_ELEMS
+        for shape, rows, na, nb, budget in self.CASES:
+            monkeypatch.setattr(connectivity, "_STACK_ELEMS",
+                                budget or default)
+            net = make_tiny_net(**shape)
+            theta = random_theta(net, seed=5, std=0.3)
+            d1 = random_theta(net, seed=6, std=0.1)
+            d2 = random_theta(net, seed=7, std=0.1)
+            probe = make_batch(RngState(8), rows, net.d, net.c)
+            a_grid = [0.5] if na == 1 else np.linspace(-1.5, 1.5, na)
+            b_grid = [-0.25] if nb == 1 else np.linspace(-1.0, 1.0, nb)
+            grid = landscape_grid(theta, d1, d2, a_grid, b_grid, net, probe)
+            want = self.per_point(theta, d1, d2, a_grid, b_grid, net, probe)
+            assert grid.values.tobytes() == want.tobytes(), (shape, rows)
+
+    @pytest.mark.parametrize("which", ["d1", "d2"])
+    def test_nan_direction_raises(self, which):
         net = make_tiny_net()
         theta = random_theta(net, seed=5, std=0.3)
-        d1 = random_theta(net, seed=6, std=0.1)
-        d2 = random_theta(net, seed=7, std=0.1)
-        probe = make_batch(RngState(8), 6, net.d, net.c)
-        grid = landscape_grid(theta, d1, d2, [0.5], [-0.25], net, probe)
-        from ilora_lab import forward
-        _, z0 = forward(net, theta, probe.X)
-        _, z = forward(net, theta + 0.5 * d1 - 0.25 * d2, probe.X)
-        assert grid.values[0, 0] == pytest.approx(np.mean((z - z0) ** 2),
-                                                  abs=1e-15)
+        dirs = {"d1": random_theta(net, seed=6),
+                "d2": random_theta(net, seed=7)}
+        dirs[which][3] = np.nan
+        coords = np.linspace(-1.0, 1.0, 5)
+        with pytest.raises(ArithmeticError):
+            landscape_grid(theta, dirs["d1"], dirs["d2"], coords, coords, net,
+                           make_batch(RngState(8), 6, net.d, net.c))
 
     def test_zero_directions_flat(self):
         net = make_tiny_net()

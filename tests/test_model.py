@@ -6,7 +6,7 @@ import pytest
 from ilora_lab import (Batch, RngState, embed, finite_diff_grad, forward,
                        gaussian_fill, init_params, loss_and_grad,
                        param_length, predict_accuracy)
-from ilora_lab.model import join_params, split_params, softmax
+from ilora_lab.model import join_params, split_params, softmax, stacked_embed
 
 from conftest import make_batch, make_tiny_net, random_theta
 
@@ -33,6 +33,18 @@ class TestParamLayout:
         net = make_tiny_net()
         with pytest.raises(ValueError):
             split_params(net, np.zeros(param_length(net) + 1))
+        for shape in ((3, param_length(net) + 1), (2, 3, param_length(net))):
+            with pytest.raises(ValueError):
+                split_params(net, np.zeros(shape))
+
+    def test_stack_splits_row_by_row(self):
+        net = make_tiny_net()
+        thetas = np.stack([random_theta(net, seed=s) for s in (1, 2, 3)])
+        stacks = split_params(net, thetas)
+        for g, theta in enumerate(thetas):
+            for stacked, single in zip(stacks, split_params(net, theta)):
+                assert np.shares_memory(stacked, thetas)
+                assert stacked[g].tobytes() == single.tobytes()
 
 
 class TestForward:
@@ -193,6 +205,43 @@ class TestEmbed:
         net = make_tiny_net()
         with pytest.raises(ValueError):
             embed(net, random_theta(net), np.zeros((2, net.d + 1)))
+
+
+class TestStackedEmbed:
+    """Slice g of stacked_embed is embed's array for thetas[g], byte for
+    byte, on the vector path and in every k loop it can take."""
+
+    # (net shape, rows, G): all vector paths; the default shapes at 256
+    # rows, whose first and second layers run the k loop; effective-weight
+    # products over the vector cutoff
+    CASES = ((dict(), 37, 3), (dict(d=16, h=32, e=16, rank=8), 256, 8),
+             (dict(d=40, h=64, e=24, rank=8), 9, 4))
+
+    @pytest.mark.parametrize("shape, rows, G", CASES)
+    def test_slices_match_embed(self, shape, rows, G):
+        net = make_tiny_net(**shape)
+        X = gaussian_fill(RngState(rows), rows, net.d)
+        thetas = np.stack([random_theta(net, seed=s, std=0.3)
+                           for s in range(G - 1)]
+                          + [init_params(net, RngState(G))])
+        z = stacked_embed(net, thetas, X)
+        assert z.shape == (G, rows, net.e)
+        assert z.flags.c_contiguous
+        for g, theta in enumerate(thetas):
+            assert z[g].tobytes() == embed(net, theta, X).tobytes(), g
+
+    def test_one_nan_theta_raises(self):
+        net = make_tiny_net()
+        thetas = np.stack([random_theta(net, seed=s) for s in (1, 2, 3)])
+        thetas[1, 0] = np.nan
+        with pytest.raises(ArithmeticError):
+            stacked_embed(net, thetas, gaussian_fill(RngState(9), 4, net.d))
+
+    def test_input_dim_checked(self):
+        net = make_tiny_net()
+        with pytest.raises(ValueError):
+            stacked_embed(net, random_theta(net)[None],
+                          np.zeros((2, net.d + 1)))
 
 
 class TestFiniteness:

@@ -4,7 +4,7 @@ import pytest
 from ilora_lab import RngState, finite_diff_grad, gaussian_fill, matmul
 from ilora_lab.numerics import (_FILL_CHUNK, _JUMP_ROWS, _MASK64,
                                 _XORSHIFT_MULT, _VECTOR_MAX_ELEMS, _box_muller,
-                                skip_gaussian_fill)
+                                skip_gaussian_fill, stacked_matmul)
 
 
 def triple_loop_matmul(a, b):
@@ -220,6 +220,105 @@ class TestMatmulCallerBufsize:
             finally:
                 np.setbufsize(old)
         assert len(outs) == 1
+
+
+def stack_operand(rng, G, rows, cols, layout):
+    """A (G, rows, cols) stack: C-contiguous, each slice a transposed view,
+    every other column, or the stack axis inside (the layout of a
+    (rows, G, cols) array seen as G slices)."""
+    if layout == "T":
+        x = rng.standard_normal((G, cols, rows)).transpose(0, 2, 1)
+    elif layout == "strided":
+        x = rng.standard_normal((G, rows, 2 * cols))[:, :, ::2]
+    elif layout == "inner":
+        x = rng.standard_normal((rows, G, cols)).transpose(1, 0, 2)
+    else:
+        x = rng.standard_normal((G, rows, cols))
+    hit = rng.random(x.shape) < 0.2
+    x[hit] = np.where(rng.random(x.shape) < 0.5, 0.0, -0.0)[hit]
+    return x
+
+
+class TestStackedMatmul:
+    """stacked_matmul gives each slice the triple loop's bytes, on both
+    kernel paths and in both orientations, whatever the stack's layout."""
+
+    LAYOUTS = ("C", "T", "strided", "inner")
+    # (G, m, K, n): the vector path with n >= m and n < m, the k loop with
+    # n >= m and n < m (under and over 16-value rows), and G = 1 on each
+    SHAPES = ((3, 4, 5, 6), (3, 6, 5, 4), (8, 16, 8, 32), (8, 32, 8, 16),
+              (2, 1, 9, 1), (3, 20, 30, 70), (3, 70, 30, 20), (4, 5, 33, 9),
+              (1, 8, 8, 32), (1, 64, 17, 40), (1, 40, 17, 64))
+
+    @pytest.mark.parametrize("G, m, k, n", SHAPES)
+    def test_slices_match_the_loop(self, G, m, k, n):
+        rng = np.random.default_rng(G * 10007 + m * 101 + n)
+        for layout_a in self.LAYOUTS:
+            for layout_b in self.LAYOUTS:
+                a = stack_operand(rng, G, m, k, layout_a)
+                b = stack_operand(rng, G, k, n, layout_b)
+                out = stacked_matmul(a, b)
+                assert out.shape == (G, m, n)
+                assert out.flags.c_contiguous
+                for g in range(G):
+                    want = triple_loop_matmul(a[g], b[g]).tobytes()
+                    assert out[g].tobytes() == want, (G, m, k, n, g)
+                    assert matmul(a[g], b[g]).tobytes() == want
+
+    def test_both_paths_are_taken(self, monkeypatch):
+        seen = []
+        multiply = np.multiply
+
+        def spy(*args, **kwargs):
+            seen.append(args[0].ndim)
+            return multiply(*args, **kwargs)
+
+        monkeypatch.setattr(np, "multiply", spy)
+        # one 4-D product array, then a loop of 3-D (G, m, n) products
+        stacked_matmul(np.ones((8, 16, 8)), np.ones((8, 8, 32)))
+        assert seen == [4]
+        seen.clear()
+        stacked_matmul(np.ones((3, 20, 30)), np.ones((3, 30, 70)))
+        assert seen == [3] * 30
+
+    def test_negative_zero_total_becomes_positive_zero(self):
+        rng = np.random.default_rng(5)
+        for G, m, k, n in ((4, 8, 4, 16), (4, 16, 4, 8), (2, 64, 32, 256)):
+            a = np.zeros((G, m, k))
+            b = -np.abs(rng.standard_normal((G, k, n)))
+            out = stacked_matmul(a, b)
+            assert not np.signbit(out).any()
+
+    def test_shape_mismatch(self):
+        for a, b in ((np.ones((2, 3, 4)), np.ones((2, 5, 6))),
+                     (np.ones((2, 3, 4)), np.ones((3, 4, 6))),
+                     (np.ones((3, 4)), np.ones((4, 6)))):
+            with pytest.raises(ValueError):
+                stacked_matmul(a, b)
+
+    @pytest.fixture
+    def bufsize_4096(self):
+        old = np.setbufsize(4096)
+        yield
+        np.setbufsize(old)
+
+    @pytest.mark.parametrize("m, n", [(300, 8), (8, 300)])
+    def test_buffer_size_restored_after_an_error(self, monkeypatch,
+                                                 bufsize_4096, m, n):
+        calls = []
+        multiply = np.multiply
+
+        def fail_third(*args, **kwargs):
+            calls.append(np.getbufsize())
+            if len(calls) == 3:
+                raise FloatingPointError("injected")
+            return multiply(*args, **kwargs)
+
+        monkeypatch.setattr(np, "multiply", fail_third)
+        with pytest.raises(FloatingPointError, match="injected"):
+            stacked_matmul(np.ones((4, m, 16)), np.ones((4, 16, n)))
+        assert calls == [288] * 3
+        assert np.getbufsize() == 4096
 
 
 class TestMatmulOperands:
