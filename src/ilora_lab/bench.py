@@ -10,19 +10,18 @@ the input geometry moves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (Batch, Network, backbone_from_vector, backbone_loss_and_grad,
-                    backbone_vector)
+                    join_params)
 from .numerics import RngState, gaussian_fill, skip_gaussian_fill
 from .optim import AdamState, adam_step
 
 
 @dataclass(frozen=True)
 class TaskSpec:
-    task_id: int = 0
     n_train: int = 512
     n_eval: int = 256
     classes: int = 4
@@ -39,8 +38,9 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class TaskStream:
-    """Per task (train, eval, spec); anchor is task 0's (train, eval). A
-    stream made with ``train_sets=False`` holds None for every train set."""
+    """Per task (train, eval, spec), spec being the stream's one TaskSpec;
+    anchor is task 0's (train, eval). A stream made with
+    ``train_sets=False`` holds None for every train set."""
 
     tasks: list[tuple[Batch | None, Batch, TaskSpec]]
 
@@ -60,26 +60,22 @@ class TaskStream:
         return [ev for _, ev, _ in self.tasks]
 
 
-def _plane_rotation(d: int, i: int, j: int, angle_rad: float) -> np.ndarray:
-    Q = np.eye(d)
-    c, s = math.cos(angle_rad), math.sin(angle_rad)
-    Q[i, i] = c
-    Q[j, j] = c
-    Q[i, j] = -s
-    Q[j, i] = s
-    return Q
-
-
 def _rotation_step(rng: RngState, d: int, angle_rad: float) -> np.ndarray:
     """Orthogonal drift step: the coordinates are paired into floor(d/2)
-    disjoint seeded planes and every plane is rotated by the task angle."""
-    perm = list(range(d))
-    for i in range(d):
-        j = i + rng.next_below(d - i)
-        perm[i], perm[j] = perm[j], perm[i]
+    disjoint seeded planes and every plane is rotated by the task angle.
+
+    The planes are disjoint, so each plane's four entries are written into
+    the identity directly. Every zero entry is +0.0, as in the identity,
+    whatever the angle: hence ``0.0 - s`` and ``+ 0.0``, where ``-s`` would
+    give -0.0 at a zero angle."""
+    perm = rng.shuffled(d, d)
+    c = math.cos(angle_rad) + 0.0
+    s = math.sin(angle_rad)
     Q = np.eye(d)
-    for k in range(0, d - 1, 2):
-        Q = _plane_rotation(d, perm[k], perm[k + 1], angle_rad) @ Q
+    for i, j in zip(perm[0::2], perm[1::2]):
+        Q[i, i] = Q[j, j] = c
+        Q[i, j] = 0.0 - s
+        Q[j, i] = s + 0.0
     return Q
 
 
@@ -130,8 +126,7 @@ def make_stream(seed: int, T: int, base_spec: TaskSpec | None = None,
             train = None
             skip_gaussian_fill(rng, spec.n_train, d)
         ev = _sample_task(rng, means, spec, spec.n_eval)
-        task_spec = replace(spec, task_id=t)
-        tasks.append((train, ev, task_spec))
+        tasks.append((train, ev, spec))
     return TaskStream(tasks=tasks)
 
 
@@ -157,18 +152,15 @@ def pretrain_backbone(anchor_train: Batch, arch: ArchConfig, seed: int,
     rng = RngState(seed)
     d = anchor_train.X.shape[1]
     c, h, e = classes, arch.hidden, arch.embed
-    net = Network(
-        W1=gaussian_fill(rng, h, d, 0.0, 1.0 / math.sqrt(d)),
-        b1=np.zeros(h),
-        W2=gaussian_fill(rng, e, h, 0.0, 1.0 / math.sqrt(h)),
-        b2=np.zeros(e),
-        Whead=gaussian_fill(rng, c, e, 0.0, 1.0 / math.sqrt(e)),
-        bhead=np.zeros(c),
-        rank=arch.rank, alpha=arch.alpha)
+    vec = join_params(gaussian_fill(rng, h, d, 0.0, 1.0 / math.sqrt(d)),
+                      np.zeros(h),
+                      gaussian_fill(rng, e, h, 0.0, 1.0 / math.sqrt(h)),
+                      np.zeros(e),
+                      gaussian_fill(rng, c, e, 0.0, 1.0 / math.sqrt(e)),
+                      np.zeros(c))
 
     n = anchor_train.n
     steps = arch.pretrain_epochs * math.ceil(n / arch.pretrain_batch)
-    vec = backbone_vector(net)
     shape = (d, h, e, c, arch.rank, arch.alpha)
     adam = AdamState.fresh(vec.size, arch.pretrain_lr, 0.2, steps)
     # the network's arrays are views into vec, which each step overwrites

@@ -52,8 +52,7 @@ def _fields(cls, keep=lambda name: True) -> dict[str, tuple[type, object]]:
 
 
 SCHEMA = {
-    "stream": {"tasks": (int, 5),
-               **_fields(TaskSpec, lambda k: k != "task_id")},
+    "stream": {"tasks": (int, 5), **_fields(TaskSpec)},
     "arch": _fields(ArchConfig),
     "strategy": _fields(StrategyConfig, lambda k: k not in _TRAINING),
     "training": _fields(StrategyConfig, lambda k: k in _TRAINING),

@@ -59,23 +59,30 @@ Reference stream for seed=1, first five uniforms:
     0.23114710925829274, 0.8590431711703592
 (regenerate with ``RngState(1).next_float()``).
 
-Gaussians come in Box-Muller pairs, ``gauss_pair`` one at a time and
-``gaussian_fill`` in bulk; both give the same bytes and leave the generator
-in the same state. The bulk path:
+Every multi-value draw reads ``RngState.uniforms``, a lookahead block of
+the next 512 states and their uniforms, plus how many have been read:
 
-- ``RngState.next_states`` computes a block of up to 512 consecutive states
-  at once. xorshift is linear over GF(2), so the state i+1 steps after x is
-  the xor, over the set bits b of x, of the state i+1 steps after ``1 << b``;
-  those 64 x 512 states are one jump table (256 KB), built on first use.
-  The next block starts from the last state of the previous one.
-- uniforms are ``(state' * MULT) >> 11`` on uint64 arrays (numpy wraps
-  like ``mod 2^64``), converted to float64 and scaled by 2^-53, exactly.
-- log, cos and sin are ``math``'s, mapped over Python floats: ``np.log``
-  rounds differently from ``math.log`` on some inputs (6,986 of 2,000,000
-  uniforms on numpy 2.4.6), which would change the stream. sqrt and the
-  products are correctly rounded in both and stay vectorised.
-- the fill runs in chunks of 1,024 states, so its temporaries stay under
-  100 KB whatever the matrix size.
+- xorshift is linear over GF(2), so the state i+1 steps after x is the xor,
+  over the set bits b of x, of the state i+1 steps after ``1 << b``; those
+  64 x 512 states are one jump table (256 KB), built on first use, and a
+  block is one xor reduction over it. The next block starts from the last
+  state of the previous one.
+- uniforms are ``(state' * MULT) >> 11`` on uint64 arrays (numpy wraps like
+  ``mod 2^64``), converted to float64 and scaled by 2^-53, exactly.
+- a call returns the next ``count`` uniforms in a new array, which the
+  caller may write into (``_box_muller`` does). Its values and final state
+  are those of ``count`` ``next_float`` calls, and ``int(u * n)`` on them
+  is ``next_below(n)``.
+
+``Batch.draw`` and replay sampling index with ``int(u * n)``. ``shuffled``,
+a Fisher-Yates shuffle, swaps entry i with entry ``i + int(u * (n - i))``.
+``gaussian_fill`` makes Box-Muller pairs, the bytes and final state of
+``gauss_pair`` called pair by pair. Its log, cos and sin are ``math``'s,
+mapped over Python floats: ``np.log`` rounds differently from ``math.log``
+on some inputs (6,986 of 2,000,000 uniforms on numpy 2.4.6), which would
+change the stream. sqrt and the products are correctly rounded in both and
+stay vectorised. The fill runs in chunks of 1,024 uniforms, so its
+temporaries stay under 100 KB whatever the matrix size.
 
 ``RngState.advance`` skips states without computing them: the state k
 steps after x (k <= 512) is the xor of column k-1 of the jump table over
@@ -83,17 +90,11 @@ the set bits of x, so a skip of n states costs ceil(n/512) such xors and no
 Box-Muller. ``skip_gaussian_fill`` uses it to pass over a fill that is
 never read, e.g. a training set when only eval sets are needed.
 
-``RngState.uniforms`` serves batch index draws in bulk. It keeps a
-lookahead block: the next 512 states and their uniforms, made by the jump
-table, plus how many of them have been read. A call returns the next
-``count`` uniforms of the block and starts a new block from the block's
-last state when it runs out, so its values and final state are those of
-``count`` ``next_float`` calls; ``int(u * n)`` on them is ``next_below(n)``.
-Every other consumer (``next_u64``, ``next_states``, ``advance``, and
-through them ``gaussian_fill``, ``gauss_pair`` and
-``choose_without_replacement``) first resyncs: the generator's state
-becomes the last state read and the unread rest of the block is dropped.
-Interleaving bulk and scalar draws therefore leaves the stream unchanged.
+The scalar methods (``next_u64`` and, through it, ``next_float``,
+``next_below`` and ``gauss_pair``) and ``advance`` first resync: the
+generator's state becomes the last lookahead state read and the unread rest
+of the block is dropped. Interleaving bulk and scalar draws therefore
+leaves the stream unchanged.
 """
 
 from __future__ import annotations
@@ -160,15 +161,21 @@ class RngState:
             raise ValueError("next_below requires n >= 1")
         return int(self.next_float() * n)
 
-    def choose_without_replacement(self, n: int, k: int) -> list[int]:
-        """k distinct indices from [0, n), ascending. Consumes exactly k draws."""
+    def shuffled(self, n: int, k: int) -> list[int]:
+        """The first k entries of a Fisher-Yates shuffle of range(n): entry
+        i swaps with entry i + next_below(n - i), for i < k. Consumes
+        exactly k uniforms, read through ``uniforms``."""
         if not 0 <= k <= n:
             raise ValueError(f"cannot choose {k} from {n}")
         idx = list(range(n))
-        for i in range(k):
-            j = i + self.next_below(n - i)
+        for i, u in enumerate(self.uniforms(k).tolist()):
+            j = i + int(u * (n - i))
             idx[i], idx[j] = idx[j], idx[i]
-        return sorted(idx[:k])
+        return idx[:k]
+
+    def choose_without_replacement(self, n: int, k: int) -> list[int]:
+        """k distinct indices from [0, n), ascending. Consumes exactly k draws."""
+        return sorted(self.shuffled(n, k))
 
     def gauss_pair(self) -> tuple[float, float]:
         """One Box-Muller pair; consumes exactly two uniforms."""
@@ -181,34 +188,20 @@ class RngState:
         return r * math.cos(a), r * math.sin(a)
 
     def uniforms(self, count: int) -> np.ndarray:
-        """The next ``count`` uniforms as a float64 array: the values and
-        final state of ``count`` ``next_float`` calls, served from the
+        """The next ``count`` uniforms as a new float64 array: the values
+        and final state of ``count`` ``next_float`` calls, served from the
         lookahead block."""
         out = np.empty(count)
         done = 0
         while done < count:
             if self._ahead is None or self._read == _JUMP_ROWS:
                 self._resync()
-                self._ahead = _states_after(self._state, _JUMP_ROWS)
+                self._ahead = _states_after(self._state)
                 self._ahead_u = _uniforms_of(self._ahead)
             k = min(count - done, _JUMP_ROWS - self._read)
             out[done:done + k] = self._ahead_u[self._read:self._read + k]
             self._read += k
             done += k
-        return out
-
-    def next_states(self, count: int) -> np.ndarray:
-        """The next ``count`` raw xorshift states (the ``state'`` of the
-        contract) as a uint64 array; leaves the generator where ``count``
-        ``next_u64`` calls would."""
-        self._resync()
-        out = np.empty(count, dtype=np.uint64)
-        x = self._state
-        for start in range(0, count, _JUMP_ROWS):
-            k = min(_JUMP_ROWS, count - start)
-            out[start:start + k] = _states_after(x, k)
-            x = int(out[start + k - 1])
-        self._state = x
         return out
 
     def advance(self, count: int) -> None:
@@ -225,9 +218,9 @@ class RngState:
         self._state = x
 
 
-def _states_after(x: int, k: int) -> np.ndarray:
-    """The k (<= _JUMP_ROWS) states that follow state x."""
-    return np.bitwise_xor.reduce(_jump_table()[_set_bits(x), :k], axis=0)
+def _states_after(x: int) -> np.ndarray:
+    """The _JUMP_ROWS states that follow state x."""
+    return np.bitwise_xor.reduce(_jump_table()[_set_bits(x)], axis=0)
 
 
 def _uniforms_of(states: np.ndarray) -> np.ndarray:
@@ -337,24 +330,24 @@ def all_finite(x: np.ndarray) -> bool:
     return bool(np.logical_and.reduce(np.isfinite(x), axis=None))
 
 
-# States per gaussian_fill chunk (even, so chunks hold whole pairs). Small
+# Uniforms per gaussian_fill chunk (even, so chunks hold whole pairs). Small
 # chunks keep the arrays and Python float lists off the peak RSS; larger
 # ones measured no faster.
 _FILL_CHUNK = 2 * _JUMP_ROWS
 
 
-def _box_muller(states: np.ndarray) -> np.ndarray:
-    """Gaussians from an even number of consecutive states, pair by pair
-    exactly as ``gauss_pair`` computes them. log, cos and sin are ``math``'s
-    because numpy's do not always round the same way."""
-    u = _uniforms_of(states)
+def _box_muller(u: np.ndarray) -> np.ndarray:
+    """Gaussians from an even number of consecutive uniforms, pair by pair
+    exactly as ``gauss_pair`` computes them; zero u1 values are replaced in
+    u itself. log, cos and sin are ``math``'s because numpy's do not always
+    round the same way."""
     u1 = u[0::2]
     u1[u1 == 0.0] = 2.0 ** -53
     half = len(u1)
     logs = np.fromiter(map(math.log, u1.tolist()), np.float64, half)
     r = np.sqrt(-2.0 * logs)
     angles = ((2.0 * math.pi) * u[1::2]).tolist()
-    out = np.empty(len(states))
+    out = np.empty(len(u))
     out[0::2] = r * np.fromiter(map(math.cos, angles), np.float64, half)
     out[1::2] = r * np.fromiter(map(math.sin, angles), np.float64, half)
     return out
@@ -382,7 +375,7 @@ def gaussian_fill(rng: RngState, rows: int, cols: int,
     vals = np.empty(n_states)
     for start in range(0, n_states, _FILL_CHUNK):
         stop = min(start + _FILL_CHUNK, n_states)
-        vals[start:stop] = _box_muller(rng.next_states(stop - start))
+        vals[start:stop] = _box_muller(rng.uniforms(stop - start))
     return (mean + std * vals[:n]).reshape(rows, cols)
 
 

@@ -13,24 +13,25 @@ from .model import Batch, Network, per_sample_grads
 from .numerics import all_finite
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     m: np.ndarray
     v: np.ndarray
-    step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    base_lr: float = 1e-2
-    warmup_ratio: float = 0.2
-    total_steps: int = 1
+    step: int
+    base_lr: float
+    warmup_ratio: float
+    total_steps: int
 
     @classmethod
     def fresh(cls, n_params: int, base_lr: float, warmup_ratio: float,
               total_steps: int) -> "AdamState":
-        return cls(m=np.zeros(n_params), v=np.zeros(n_params),
-                   base_lr=base_lr, warmup_ratio=warmup_ratio,
-                   total_steps=total_steps)
+        return cls(np.zeros(n_params), np.zeros(n_params), 0, base_lr,
+                   warmup_ratio, total_steps)
 
 
 def lr_at(state: AdamState, step: int) -> float:
@@ -53,7 +54,7 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray):
     # The operations and their order are those of
     # m' = b1*m + (1-b1)*g, v' = b2*v + (1-b2)*g*g and
     # theta - lr*mhat / (sqrt(vhat) + eps), done in place on fresh arrays.
-    b1, b2, step = state.beta1, state.beta2, state.step + 1
+    b1, b2, step = ADAM_BETA1, ADAM_BETA2, state.step + 1
     m = b1 * state.m
     m += (1.0 - b1) * grad
     t = (1.0 - b2) * grad
@@ -64,7 +65,7 @@ def adam_step(state: AdamState, theta: np.ndarray, grad: np.ndarray):
     update *= lr_at(state, step)
     t = np.divide(v, 1.0 - b2 ** step, out=t)
     np.sqrt(t, out=t)
-    t += state.eps
+    t += ADAM_EPS
     update /= t
     return theta - update, _stepped(state, m, v)
 
@@ -82,8 +83,7 @@ def sgd_step(state: AdamState, theta: np.ndarray, grad: np.ndarray):
 
 def _stepped(state: AdamState, m: np.ndarray, v: np.ndarray) -> AdamState:
     """`state` one step on, with moments m and v."""
-    return AdamState(m, v, state.step + 1, state.beta1, state.beta2,
-                     state.eps, state.base_lr, state.warmup_ratio,
+    return AdamState(m, v, state.step + 1, state.base_lr, state.warmup_ratio,
                      state.total_steps)
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ class TestStreamConstruction:
         for train, ev, ts in stream.tasks:
             assert train.X.shape == (64, 6)
             assert ev.X.shape == (32, 6)
-        assert [ts.task_id for _, _, ts in stream.tasks] == [0, 1, 2, 3]
+        assert all(ts is spec for _, _, ts in stream.tasks)
 
     def test_anchor_is_first_task(self):
         stream = make_stream(1, 3, TaskSpec(n_train=32, n_eval=16))
@@ -77,7 +79,40 @@ class TestStreamConstruction:
             assert short.anchor[1] is short.evals[0]
 
 
+def plane_by_plane_rotation(rng, d, angle_rad):
+    """The rotation step as d/2 plane rotations multiplied together, the
+    permutation drawn one next_below at a time: the reference the direct
+    block must reproduce byte for byte."""
+    perm = list(range(d))
+    for i in range(d):
+        j = i + rng.next_below(d - i)
+        perm[i], perm[j] = perm[j], perm[i]
+    c, s = math.cos(angle_rad), math.sin(angle_rad)
+    Q = np.eye(d)
+    for k in range(0, d - 1, 2):
+        i, j = perm[k], perm[k + 1]
+        P = np.eye(d)
+        P[i, i] = P[j, j] = c
+        P[i, j] = -s
+        P[j, i] = s
+        Q = P @ Q
+    return Q
+
+
 class TestDrift:
+    @pytest.mark.parametrize("deg", [0.0, -0.0, 25.0, -25.0, 90.0, -90.0,
+                                     120.0, 180.0, -180.0, 270.0, 359.9,
+                                     360.0, 1e-300, 1e6])
+    def test_rotation_step_matches_plane_by_plane_product(self, deg):
+        angle = math.radians(deg)
+        for d in (1, 2, 3, 6, 16, 17, 64):
+            for seed in range(30):
+                direct, ref = RngState(seed), RngState(seed)
+                got = _rotation_step(direct, d, angle)
+                want = plane_by_plane_rotation(ref, d, angle)
+                assert got.tobytes() == want.tobytes(), (deg, d, seed)
+                assert direct.next_u64() == ref.next_u64(), (deg, d, seed)
+
     def test_rotation_step_is_orthogonal(self):
         for seed in range(5):
             Q = _rotation_step(RngState(seed), 16, np.radians(25.0))

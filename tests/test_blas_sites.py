@@ -17,7 +17,6 @@ BLAS_CALLS = {"dot", "einsum", "tensordot", "inner"}
 # (file, enclosing function, operation): number of sites.
 ALLOWED = Counter({
     # stream rotations and class means, and the class-mean distances
-    ("bench.py", "_rotation_step", "@"): 1,
     ("bench.py", "make_stream", "@"): 2,
     ("bench.py", "make_stream", "np.linalg.norm"): 1,
     # AGEM's two dots and the EWC penalty value

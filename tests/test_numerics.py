@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from ilora_lab import RngState, finite_diff_grad, gaussian_fill, matmul
-from ilora_lab.numerics import (_FILL_CHUNK, _JUMP_ROWS, _MASK64,
-                                _XORSHIFT_MULT, _VECTOR_MAX_ELEMS, _box_muller,
-                                skip_gaussian_fill, stacked_matmul)
+from ilora_lab.numerics import (_FILL_CHUNK, _JUMP_ROWS, _VECTOR_MAX_ELEMS,
+                                _box_muller, skip_gaussian_fill,
+                                stacked_matmul)
 
 
 def triple_loop_matmul(a, b):
@@ -442,6 +442,57 @@ class TestRng:
         assert all(0 <= i < 20 for i in chosen)
         assert RngState(9).choose_without_replacement(20, 8) == chosen
 
+    @pytest.mark.parametrize("n, k", [(3, 4), (3, -1), (0, 1)])
+    def test_shuffled_rejects_k_outside_0_to_n(self, n, k):
+        with pytest.raises(ValueError):
+            RngState(0).shuffled(n, k)
+
+
+def scalar_shuffled(rng, n, k):
+    """The first k entries of a Fisher-Yates shuffle of range(n), one
+    next_below draw per entry: the reference ``shuffled`` must reproduce."""
+    idx = list(range(n))
+    for i in range(k):
+        j = i + rng.next_below(n - i)
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx[:k]
+
+
+class TestShuffled:
+    """shuffled() through the uniforms lookahead against scalar draws."""
+
+    B = _JUMP_ROWS
+    CASES = [(0, 0), (1, 0), (1, 1), (7, 0), (7, 7), (20, 8), (B, B),
+             (B + 3, B + 3), (3 * B, 5), (2 * B + 1, 2 * B)]
+
+    @pytest.mark.parametrize("already_read", [0, 100, B - 2])
+    def test_matches_scalar_fisher_yates(self, already_read):
+        # already_read uniforms leave a lookahead block partly read; at
+        # B - 2 the shuffle crosses into the next block
+        for seed in (0, 2 ** 64 - 1):
+            for n, k in self.CASES:
+                bulk, scalar = RngState(seed), RngState(seed)
+                bulk.uniforms(already_read)
+                scalar.uniforms(already_read)
+                ref = scalar_shuffled(scalar, n, k)
+                assert bulk.shuffled(n, k) == ref, (seed, n, k)
+                assert bulk.next_u64() == scalar.next_u64(), (seed, n, k)
+
+    def test_choose_is_sorted_shuffle_with_the_same_state(self):
+        for n, k in self.CASES:
+            bulk, scalar = RngState(n), RngState(n)
+            bulk.uniforms(37)
+            scalar.uniforms(37)
+            assert bulk.choose_without_replacement(n, k) == \
+                   sorted(scalar_shuffled(scalar, n, k)), (n, k)
+            assert bulk.next_u64() == scalar.next_u64(), (n, k)
+
+    def test_k_zero_draws_nothing(self):
+        for n in (0, 1, 9):
+            rng = RngState(3)
+            assert rng.shuffled(n, 0) == []
+            assert rng.next_u64() == RngState(3).next_u64()
+
 
 class TestGaussianFill:
     def test_zero_std_gives_mean(self):
@@ -481,18 +532,6 @@ class TestBulkGaussianFill:
     SEEDS = (0, 1, 2 ** 63, 2 ** 64 - 1)
     B = _JUMP_ROWS
 
-    def test_next_states_follow_next_u64(self):
-        for seed in self.SEEDS:
-            for count in (0, 1, self.B - 1, self.B, self.B + 1,
-                          2 * self.B + 1):
-                bulk, scalar = RngState(seed), RngState(seed)
-                states = bulk.next_states(count)
-                assert states.dtype == np.uint64 and states.shape == (count,)
-                assert [(s * _XORSHIFT_MULT) & _MASK64
-                        for s in states.tolist()] == \
-                       [scalar.next_u64() for _ in range(count)]
-                assert bulk.next_u64() == scalar.next_u64(), (seed, count)
-
     def test_fill_bytes_and_final_state_match_gauss_pair(self):
         B = self.B
         shapes = [(1, 1), (1, 7), (3, 5), (1, B - 1), (2, B // 2),
@@ -515,15 +554,12 @@ class TestBulkGaussianFill:
         assert bulk.next_float() == scalar.next_float()
 
     def test_zero_uniform_is_replaced_as_in_gauss_pair(self):
-        # this state's output is 1, so its top 53 bits, and u1, are zero
-        zero = pow(_XORSHIFT_MULT, -1, 1 << 64)
-        other = 0x0123456789ABCDEF
-        assert (zero * _XORSHIFT_MULT) & _MASK64 == 1
+        u = np.array([0.0, 0.6180339887498949])
         rng = RngState(0)
-        outputs = iter([1, (other * _XORSHIFT_MULT) & _MASK64])
-        rng.next_u64 = lambda: next(outputs)
+        draws = iter(u.tolist())
+        rng.next_float = lambda: next(draws)
         want = np.array(rng.gauss_pair())
-        got = _box_muller(np.array([zero, other], dtype=np.uint64))
+        got = _box_muller(u.copy())
         assert np.isfinite(got).all()
         assert got.tobytes() == want.tobytes()
 
@@ -588,7 +624,6 @@ class TestBulkUniforms:
             lambda r: r.next_u64(),
             lambda r: r.next_below(9),
             lambda r: r.choose_without_replacement(30, 7),
-            lambda r: r.next_states(700).tolist(),
             lambda r: r.gauss_pair(),
         ]
         bulk, scalar = RngState(12), RngState(12)
@@ -599,6 +634,14 @@ class TestBulkUniforms:
             assert consume(bulk) == consume(scalar), i
         assert bulk.uniforms(5).tolist() == \
                [scalar.next_float() for _ in range(5)]
+        assert bulk.next_u64() == scalar.next_u64()
+
+    def test_writing_a_returned_array_leaves_the_stream(self):
+        bulk, scalar = RngState(8), RngState(8)
+        for count in (5, 5, self.B - 10, self.B, 3):
+            bulk.uniforms(count)[:] = 0.0
+            assert bulk.uniforms(2).tolist() == \
+                   [scalar.next_float() for _ in range(count + 2)][-2:], count
         assert bulk.next_u64() == scalar.next_u64()
 
     def test_fill_then_bulk_then_fill(self):
