@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (Batch, Network, backbone_from_vector, backbone_loss_and_grad,
-                    join_params)
+                    init_backbone)
 from .numerics import RngState, gaussian_fill, skip_gaussian_fill
 from .optim import AdamState, adam_step
 
@@ -150,18 +150,12 @@ def pretrain_backbone(anchor_train: Batch, arch: ArchConfig, seed: int,
     """Full-parameter training of the plain MLP on the anchor task; the result
     is frozen for every continual run."""
     rng = RngState(seed)
-    d = anchor_train.X.shape[1]
-    c, h, e = classes, arch.hidden, arch.embed
-    vec = join_params(gaussian_fill(rng, h, d, 0.0, 1.0 / math.sqrt(d)),
-                      np.zeros(h),
-                      gaussian_fill(rng, e, h, 0.0, 1.0 / math.sqrt(h)),
-                      np.zeros(e),
-                      gaussian_fill(rng, c, e, 0.0, 1.0 / math.sqrt(e)),
-                      np.zeros(c))
+    dims = (anchor_train.X.shape[1], arch.hidden, arch.embed, classes)
+    vec = init_backbone(rng, *dims)
 
     n = anchor_train.n
     steps = arch.pretrain_epochs * math.ceil(n / arch.pretrain_batch)
-    shape = (d, h, e, c, arch.rank, arch.alpha)
+    shape = (*dims, arch.rank, arch.alpha)
     adam = AdamState.fresh(vec.size, arch.pretrain_lr, 0.2, steps)
     # the network's arrays are views into vec, which each step overwrites
     net = backbone_from_vector(vec, *shape)

@@ -3,13 +3,13 @@ accuracy sweeps along the path, weight distance, linear CKA, and the 2-D
 embedding-deviation landscape.
 
 The CKA and landscape probes embed one probe batch under many parameter
-vectors. ``embeddings`` runs them in blocks through ``model.stacked_embed``,
-one stacked forward per block; a block holds as many vectors as keep its
+vectors. ``embeddings`` runs them in blocks through ``model.embed``, one
+stacked forward per block; a block holds as many vectors as keep its
 (rows, G*hidden) first-layer activations within ``_STACK_ELEMS`` values.
 Each embedding it yields is a C-contiguous (rows, e) array with the bytes
-``embed`` gives, so a reduction over it, such as the landscape's
-``np.mean``, groups its terms the same way; numpy's pairwise sum over a
-strided view would group them differently and change the bits.
+``embed`` gives for its vector alone, so a reduction over it, such as the
+landscape's mean, groups its terms the same way; numpy's pairwise sum over
+a strided view would group them differently and change the bits.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Batch, Network, accuracy, embed, forward, stacked_embed
+from .model import Batch, Network, accuracy, embed, forward
 
 
 @dataclass
@@ -137,7 +137,7 @@ def embeddings(net: Network, thetas: Iterable[np.ndarray],
     size = max(1, _STACK_ELEMS // (len(X) * net.h))
     thetas = iter(thetas)
     while block := list(itertools.islice(thetas, size)):
-        yield from stacked_embed(net, np.stack(block), X)
+        yield from embed(net, np.stack(block), X)
 
 
 def landscape_grid(theta0: np.ndarray, d1: np.ndarray, d2: np.ndarray,
@@ -146,8 +146,9 @@ def landscape_grid(theta0: np.ndarray, d1: np.ndarray, d2: np.ndarray,
     over a probe batch; exactly zero at the origin by construction.
 
     The points are walked row-major and embedded in blocks (``embeddings``);
-    each value is the mean over its own C-contiguous (rows, e) deviation
-    array, the bytes a per-point ``embed`` gives.
+    each value is ``np.mean``'s bytes over its own C-contiguous (rows, e)
+    deviation array, the one a per-point ``embed`` gives, without the
+    wrapper: ``np.add.reduce(sq, axis=None) / sq.size``.
     """
     if theta0.shape != d1.shape or theta0.shape != d2.shape:
         raise ValueError("parameter layout mismatch")
@@ -159,5 +160,6 @@ def landscape_grid(theta0: np.ndarray, d1: np.ndarray, d2: np.ndarray,
               for j, b in enumerate(b_grid) if a != 0.0 or b != 0.0]
     thetas = (theta0 + a_grid[i] * d1 + b_grid[j] * d2 for i, j in points)
     for (i, j), z in zip(points, embeddings(net, thetas, probe.X)):
-        values[i, j] = np.mean((z - z0) ** 2)
+        sq = (z - z0) ** 2
+        values[i, j] = np.add.reduce(sq, axis=None) / sq.size
     return LandscapeGrid(a_grid, b_grid, values)

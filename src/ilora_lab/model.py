@@ -2,9 +2,11 @@
 hidden weight matrices, analytic gradients of the combined CE + embedding-MSE
 loss.
 
-Flat parameter layout (all row-major): A1 (r x d) | B1 (h x r) | A2 (r x h)
-| B2 (e x r). The effective delta on an adapted matrix is (alpha/rank) * B @ A
-and B is zero at init, so a fresh adapter set reproduces the backbone exactly.
+Each flat vector is laid out by one table, the (shape, init std) of its
+arrays in order, all row-major: ``_adapter_layout`` (A1, B1, A2, B2) and
+``_backbone_layout`` (W1, b1, W2, b2, Whead, bhead). The effective delta on
+an adapted matrix is (alpha/rank) * B @ A and B is zero at init, so a fresh
+adapter set reproduces the backbone exactly.
 """
 
 from __future__ import annotations
@@ -22,10 +24,8 @@ ADAPTER_INIT_STD = 0.02
 
 @dataclass(frozen=True)
 class Network:
-    """Frozen backbone weights plus the adapter hyper-parameters.
-
-    Shapes: W1 h x d, W2 e x h, Whead c x e; biases match their out dims.
-    """
+    """Frozen backbone weights plus the adapter hyper-parameters; the
+    arrays' shapes are ``_backbone_layout``'s."""
 
     W1: np.ndarray
     b1: np.ndarray
@@ -84,27 +84,52 @@ class Batch:
         return Batch(self.X[idx], self.y[idx])
 
 
+def _adapter_layout(net: Network):
+    """(shape, init std) of A1, B1, A2, B2 in flat order: A factors
+    Gaussian(0, 0.02), B factors zero, so adapted net == backbone."""
+    r, d, h, e = net.rank, net.d, net.h, net.e
+    return (((r, d), ADAPTER_INIT_STD), ((h, r), 0.0),
+            ((r, h), ADAPTER_INIT_STD), ((e, r), 0.0))
+
+
+def _backbone_layout(d: int, h: int, e: int, c: int):
+    """(shape, init std) of W1, b1, W2, b2, Whead, bhead in flat order:
+    weights Gaussian(0, 1/sqrt(fan_in)), biases zero."""
+    return (((h, d), 1.0 / math.sqrt(d)), ((h,), 0.0),
+            ((e, h), 1.0 / math.sqrt(h)), ((e,), 0.0),
+            ((c, e), 1.0 / math.sqrt(e)), ((c,), 0.0))
+
+
+def _views(vec: np.ndarray, layout, what: str) -> list[np.ndarray]:
+    """Views of the layout's arrays in the flat vector, or (G, ...) stacks
+    of them from the rows of a (G, P) stack of vectors; no copies."""
+    lead = vec.shape[:-1]
+    cuts = []
+    stop = 0
+    for shape, _ in layout:
+        start, stop = stop, stop + math.prod(shape)
+        cuts.append((start, stop, lead + shape))
+    if vec.ndim not in (1, 2) or vec.shape[-1] != stop:
+        raise ValueError(f"{what} length {vec.shape} != ({stop},)")
+    return [vec[..., start:stop].reshape(shape)
+            for start, stop, shape in cuts]
+
+
+def _init(rng: RngState, layout) -> np.ndarray:
+    """A fresh flat vector: the layout's arrays in order, each drawn
+    Gaussian(0, std), or zeros where std is 0."""
+    return join_params(*[gaussian_fill(rng, *shape, 0.0, std) if std
+                         else np.zeros(shape) for shape, std in layout])
+
+
 def param_length(net: Network) -> int:
-    r = net.rank
-    return r * net.d + net.h * r + r * net.h + net.e * r
+    return sum(math.prod(shape) for shape, _ in _adapter_layout(net))
 
 
 def split_params(net: Network, theta: np.ndarray):
     """Views (A1, B1, A2, B2) into the flat vector, or (G, ...) stacks of
     them from the rows of a (G, P) stack of vectors; no copies."""
-    r, d, h, e = net.rank, net.d, net.h, net.e
-    P = param_length(net)
-    if theta.ndim not in (1, 2) or theta.shape[-1] != P:
-        raise ValueError(
-            f"parameter vector length {theta.shape} != ({P},)")
-    lead = theta.shape[:-1]
-    o0 = r * d
-    o1 = o0 + h * r
-    o2 = o1 + r * h
-    return (theta[..., :o0].reshape(*lead, r, d),
-            theta[..., o0:o1].reshape(*lead, h, r),
-            theta[..., o1:o2].reshape(*lead, r, h),
-            theta[..., o2:].reshape(*lead, e, r))
+    return _views(theta, _adapter_layout(net), "parameter vector")
 
 
 def join_params(*arrays: np.ndarray) -> np.ndarray:
@@ -113,12 +138,8 @@ def join_params(*arrays: np.ndarray) -> np.ndarray:
 
 
 def init_params(net: Network, rng: RngState) -> np.ndarray:
-    """A factors Gaussian(0, 0.02), B factors zero: adapted net == backbone."""
-    A1 = gaussian_fill(rng, net.rank, net.d, 0.0, ADAPTER_INIT_STD)
-    A2 = gaussian_fill(rng, net.rank, net.h, 0.0, ADAPTER_INIT_STD)
-    B1 = np.zeros((net.h, net.rank))
-    B2 = np.zeros((net.e, net.rank))
-    return join_params(A1, B1, A2, B2)
+    """A fresh adapter vector: A1 then A2 drawn, B factors zero."""
+    return _init(rng, _adapter_layout(net))
 
 
 def _effective_weights(net: Network, A1, B1, A2, B2):
@@ -147,30 +168,20 @@ def _head(net: Network, z: np.ndarray) -> np.ndarray:
 
 
 def embed(net: Network, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Pre-head embedding (n x e) for an input batch; the head is not run.
-    Raises ArithmeticError on a non-finite embedding."""
-    if X.shape[1] != net.d:
-        raise ValueError(f"input dim {X.shape[1]} != {net.d}")
-    W1eff, W2eff = _effective_weights(net, *split_params(net, theta))
-    z, _ = _embed_cached(net, W1eff, W2eff, X)
-    if not all_finite(z):
-        raise ArithmeticError("non-finite embedding")
-    return z
+    """Pre-head embedding of an input batch; the head is not run. A vector
+    theta (P,) gives a C-contiguous (n, e) array, a (G, P) stack a (G, n, e)
+    one whose slice g is the embedding of theta[g]. Raises ArithmeticError
+    on a non-finite embedding.
 
-
-def stacked_embed(net: Network, thetas: np.ndarray,
-                  X: np.ndarray) -> np.ndarray:
-    """``embed(net, theta, X)`` for each row theta of a (G, P) stack, as one
-    C-contiguous (G, n, e) array whose slice g is byte for byte the embedding
-    of thetas[g]. Raises ArithmeticError on a non-finite embedding.
-
-    Every entry is the same k-ascending sum that ``embed`` computes: the
-    effective weights are one stacked product per factor pair, the first
-    layer is X times the G transposed W1eff side by side (each column of a
-    product is its own sum), and the second layer is one stacked product.
+    A vector runs as a stack of one. Every entry is the k-ascending sum of
+    the training forward (``_embed_cached``): the effective weights are one
+    stacked product per factor pair, the first layer is X times the G
+    transposed W1eff side by side (each column of a product is its own
+    sum), and the second layer is one stacked product.
     """
     if X.shape[1] != net.d:
         raise ValueError(f"input dim {X.shape[1]} != {net.d}")
+    thetas = np.atleast_2d(theta)
     G, n, h = len(thetas), len(X), net.h
     W1eff, W2eff = _effective_weights(net, *split_params(net, thetas))
     h1 = matmul(X, W1eff.transpose(2, 0, 1).reshape(net.d, G * h))
@@ -181,7 +192,7 @@ def stacked_embed(net: Network, thetas: np.ndarray,
     z += net.b2
     if not all_finite(z):
         raise ArithmeticError("non-finite embedding")
-    return z
+    return z.reshape(theta.shape[:-1] + z.shape[1:])
 
 
 def forward(net: Network, theta: np.ndarray, X: np.ndarray):
@@ -337,21 +348,19 @@ def backbone_vector(net: Network) -> np.ndarray:
     return join_params(net.W1, net.b1, net.W2, net.b2, net.Whead, net.bhead)
 
 
+def init_backbone(rng: RngState, d: int, h: int, e: int, c: int) -> np.ndarray:
+    """A fresh backbone vector: W1, W2, Whead drawn in order, biases zero."""
+    return _init(rng, _backbone_layout(d, h, e, c))
+
+
 def backbone_from_vector(vec: np.ndarray, d: int, h: int, e: int, c: int,
                          rank: int, alpha: float) -> Network:
     """Network with input d, hidden h, embedding e and c classes whose arrays
-    are views into vec (no copies); copy vec first if it will be mutated."""
-    sizes = (h * d, h, e * h, e, c * e, c)
-    if vec.shape != (sum(sizes),):
-        raise ValueError(f"backbone vector length {vec.shape} != "
-                         f"({sum(sizes)},) for d={d} h={h} e={e} c={c}")
-    parts = []
-    off = 0
-    for s in sizes:
-        parts.append(vec[off:off + s])
-        off += s
-    return Network(parts[0].reshape(h, d), parts[1], parts[2].reshape(e, h),
-                   parts[3], parts[4].reshape(c, e), parts[5],
+    are views into the 1-D vec; copy vec first if it will be mutated."""
+    if vec.ndim != 1:
+        raise ValueError(f"backbone vector must be 1-D, not {vec.shape}")
+    return Network(*_views(vec, _backbone_layout(d, h, e, c),
+                           f"backbone vector (d={d} h={h} e={e} c={c})"),
                    rank=rank, alpha=alpha)
 
 

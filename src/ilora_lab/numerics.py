@@ -7,13 +7,12 @@ triple loop, independent of BLAS build details. An operand that is already a
 ``as_matrix``.
 
 The product is the sum over k of the outer products of column k of a and
-row k of b, and the kernel computes it as ``_outer_sum(x, y)``, the sum over
-k of x[k] (x) y[k] for two K-row operands. It makes one orientation switch:
-x = a.T and y = b, or, when n < m, x = b and y = a.T, returning the n x m
-result's transpose as a C-contiguous copy. Products commute and every entry
-is still summed k-ascending from +0.0, so the bytes are the same, and the
-rows of the product it computes are never shorter than its columns. It
-then takes one of two paths:
+row k of b: ``_outer_sum(a.T, b)``, the sum over k of x[k] (x) y[k] for
+K-row x and y. It holds the one orientation switch: when n < m it sums
+y (x) x and returns that n x m result's transpose as a C-contiguous copy.
+Products commute and every entry is still summed k-ascending from +0.0, so
+the bytes are the same, and the rows of the product it computes are never
+shorter than its columns. It then takes one of two paths:
 
 - small products (K*m*n <= _VECTOR_MAX_ELEMS, output not 1x1) build a
   C-contiguous array of the K x rows x cols products and sum it over its
@@ -37,13 +36,12 @@ then takes one of two paths:
   is elementwise, so the buffer size changes no bytes.
 
 ``stacked_matmul(a, b)`` computes the G products a[g] @ b[g] of a (G, m, K)
-and a (G, K, n) stack with the same orientation switch and the same
-``_outer_sum``, whose operands then carry a stack axis after k: x (K, G, m)
-and y (K, G, n). Both paths are written with ``...``, so one vector
-expression and one k loop serve 2-D and stacked operands; the vector budget
-counts the whole stack's K*G*m*n products. Slice g is byte for byte
-``matmul(a[g], b[g])``, and each k iteration does G products' work, which
-pays where many small products share their shapes. ``matmul`` stays 2-D.
+and a (G, K, n) stack through the same ``_outer_sum``, with x (K, G, m) and
+y (K, G, n). The switch and both paths are written with ``...``, so they
+serve 2-D and stacked operands; the vector budget counts the whole stack's
+K*G*m*n products. Slice g is byte for byte ``matmul(a[g], b[g])``, and each
+k iteration does G products' work, which pays where many small products
+share their shapes. ``matmul`` stays 2-D.
 
 The kernel does not check finiteness; the model checks its losses,
 gradients, logits and embeddings once per call instead, with ``all_finite``.
@@ -277,8 +275,6 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         b = as_matrix(b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    if b.shape[1] < a.shape[0]:
-        return np.ascontiguousarray(_outer_sum(b, a.T).T)
     return _outer_sum(a.T, b)
 
 
@@ -292,18 +288,16 @@ def stacked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             or a.shape[2] != b.shape[1]:
         raise ValueError(f"stacked_matmul shape mismatch: "
                          f"{a.shape} x {b.shape}")
-    x = a.transpose(2, 0, 1)
-    y = b.transpose(1, 0, 2)
-    if b.shape[2] < a.shape[1]:
-        return np.ascontiguousarray(_outer_sum(y, x).transpose(0, 2, 1))
-    return _outer_sum(x, y)
+    return _outer_sum(a.transpose(2, 0, 1), b.transpose(1, 0, 2))
 
 
 def _outer_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x.T @ y for K-row x and y, y at least as wide as x: the sum over k
-    of the outer products x[k] (x) y[k], k ascending from +0.0. x (K, m) and
-    y (K, n) give (m, n); stacks x (K, G, m) and y (K, G, n) give the G
-    products as (G, m, n)."""
+    """x.T @ y for K-row x and y, C-contiguous: the sum over k of the outer
+    products x[k] (x) y[k], k ascending from +0.0; for n < m, the transpose
+    of y.T @ x. x (K, m) and y (K, n) give (m, n); stacks x (K, G, m) and
+    y (K, G, n) give the G products as (G, m, n)."""
+    if y.shape[-1] < x.shape[-1]:
+        return np.ascontiguousarray(_outer_sum(y, x).swapaxes(-1, -2))
     m = x.shape[-1]
     n = y.shape[-1]
     if m * n > 1 and x.size * n <= _VECTOR_MAX_ELEMS:

@@ -490,16 +490,16 @@ class TestProbeCommand:
         from ilora_lab.artifacts import SavedRun
         run = copy_run(seq_run, tmp_path)
         stacked = []
-        real = connectivity.stacked_embed
+        real = connectivity.embed
 
         def spy(net, thetas, X):
-            stacked.append(len(thetas))
+            stacked.append(thetas.shape[:-1])
             return real(net, thetas, X)
 
-        monkeypatch.setattr(connectivity, "stacked_embed", spy)
+        monkeypatch.setattr(connectivity, "embed", spy)
         assert main(["probe", str(run), "cka"]) == 0
         T = SMALL_CONFIG["stream"]["tasks"]
-        assert stacked == [T]
+        assert stacked == [(T,)]
         # the bytes of embedding each pair's checkpoints on their own
         saved = SavedRun(run, validate_config(SMALL_CONFIG))
         X = saved.evals(1)[0].X

@@ -6,7 +6,10 @@ import pytest
 from ilora_lab import (Batch, RngState, embed, finite_diff_grad, forward,
                        gaussian_fill, init_params, loss_and_grad,
                        param_length, predict_accuracy)
-from ilora_lab.model import join_params, split_params, softmax, stacked_embed
+from ilora_lab.model import (_effective_weights, _embed_cached,
+                              backbone_from_vector, backbone_vector,
+                              init_backbone, join_params, split_params,
+                              softmax)
 
 from conftest import make_batch, make_tiny_net, random_theta
 
@@ -19,23 +22,93 @@ def backbone_only_forward(net, X):
     return matmul(z, net.Whead.T) + net.bhead, z
 
 
+def backbone_arrays(net, vec):
+    """The backbone arrays of a flat backbone vector, in flat order."""
+    b = backbone_from_vector(vec, net.d, net.h, net.e, net.c, net.rank,
+                             net.alpha)
+    return b.W1, b.b1, b.W2, b.b2, b.Whead, b.bhead
+
+
 class TestParamLayout:
+    """Both flat vectors: the adapters, split by `split_params`, and the
+    backbone, split by `backbone_from_vector`."""
+
+    # layout: (splitter, length at make_tiny_net()'s d=4, h=5, e=4, c=3,
+    # rank=2 written out, fresh vector, the same from the reference draws)
+    LAYOUTS = {
+        "adapter": (split_params, 2 * 4 + 5 * 2 + 2 * 5 + 4 * 2, init_params,
+                    lambda net, rng: join_params(
+                        gaussian_fill(rng, net.rank, net.d, 0.0, 0.02),
+                        np.zeros((net.h, net.rank)),
+                        gaussian_fill(rng, net.rank, net.h, 0.0, 0.02),
+                        np.zeros((net.e, net.rank)))),
+        "backbone": (backbone_arrays, 5 * 4 + 5 + 4 * 5 + 4 + 3 * 4 + 3,
+                     lambda net, rng: init_backbone(rng, net.d, net.h,
+                                                    net.e, net.c),
+                     lambda net, rng: join_params(
+                         gaussian_fill(rng, net.h, net.d, 0.0,
+                                       1.0 / math.sqrt(net.d)),
+                         np.zeros(net.h),
+                         gaussian_fill(rng, net.e, net.h, 0.0,
+                                       1.0 / math.sqrt(net.h)),
+                         np.zeros(net.e),
+                         gaussian_fill(rng, net.c, net.e, 0.0,
+                                       1.0 / math.sqrt(net.e)),
+                         np.zeros(net.c))),
+    }
+
     def test_flatten_unflatten_roundtrip(self):
         net = make_tiny_net()
-        theta = random_theta(net, seed=4)
-        assert np.array_equal(join_params(*split_params(net, theta)), theta)
+        for split, length, _, _ in self.LAYOUTS.values():
+            vec = gaussian_fill(RngState(4), 1, length)[0]
+            views = split(net, vec)
+            assert np.array_equal(join_params(*views), vec)
+            for view in views:
+                assert np.shares_memory(view, vec)
+
+    def test_backbone_vector_roundtrip(self):
+        net = make_tiny_net()
+        vec = backbone_vector(net)
+        for view, arr in zip(backbone_arrays(net, vec),
+                             (net.W1, net.b1, net.W2, net.b2, net.Whead,
+                              net.bhead)):
+            assert view.shape == arr.shape
+            assert view.tobytes() == arr.tobytes()
+        assert backbone_vector(backbone_from_vector(
+            vec, net.d, net.h, net.e, net.c, net.rank,
+            net.alpha)).tobytes() == vec.tobytes()
 
     def test_length(self):
-        net = make_tiny_net(d=4, h=5, e=4, c=3, rank=2)
-        assert param_length(net) == 2 * 4 + 5 * 2 + 2 * 5 + 4 * 2
+        net = make_tiny_net()
+        assert param_length(net) == self.LAYOUTS["adapter"][1]
+        assert backbone_vector(net).shape == (self.LAYOUTS["backbone"][1],)
+        for _, length, fresh, _ in self.LAYOUTS.values():
+            assert fresh(net, RngState(0)).shape == (length,)
+
+    def test_init_draws_in_order(self):
+        net = make_tiny_net(d=6, h=7, e=5, c=3, rank=3)
+        for layout, (_, _, fresh, reference) in self.LAYOUTS.items():
+            rng, ref_rng = RngState(11), RngState(11)
+            assert fresh(net, rng).tobytes() == \
+                reference(net, ref_rng).tobytes(), layout
+            assert rng.next_u64() == ref_rng.next_u64(), layout
 
     def test_wrong_length_rejected(self):
         net = make_tiny_net()
-        with pytest.raises(ValueError):
-            split_params(net, np.zeros(param_length(net) + 1))
-        for shape in ((3, param_length(net) + 1), (2, 3, param_length(net))):
+        for split, length, _, _ in self.LAYOUTS.values():
+            for delta in (-1, 1):
+                with pytest.raises(ValueError):
+                    split(net, np.zeros(length + delta))
+            for shape in ((3, length + 1), (2, 3, length)):
+                with pytest.raises(ValueError):
+                    split(net, np.zeros(shape))
+
+    def test_two_d_backbone_vector_rejected(self):
+        net = make_tiny_net()
+        vec = backbone_vector(net)
+        for shape in ((1, vec.size), (2, vec.size)):
             with pytest.raises(ValueError):
-                split_params(net, np.zeros(shape))
+                backbone_arrays(net, np.zeros(shape))
 
     def test_stack_splits_row_by_row(self):
         net = make_tiny_net()
@@ -186,7 +259,47 @@ class TestPredictAccuracy:
             forward(net, theta, X)
 
 
+def training_embedding(net, theta, X):
+    """The training forward's embedding: the reference for `embed`."""
+    return _embed_cached(net, *_effective_weights(
+        net, *split_params(net, theta)), X)[0]
+
+
 class TestEmbed:
+    """`embed` of a vector, and each slice of `embed` of a (G, P) stack,
+    are byte for byte the training forward's embedding, on the vector
+    path and in every k loop they can take."""
+
+    # (net shape, rows, G): all vector paths; the default shapes at 256
+    # rows, whose first and second layers run the k loop; effective-weight
+    # products over the vector cutoff
+    CASES = ((dict(), 37, 3), (dict(d=16, h=32, e=16, rank=8), 256, 8),
+             (dict(d=40, h=64, e=24, rank=8), 9, 4))
+
+    @pytest.mark.parametrize("shape, rows, G", CASES)
+    def test_stack_slices_match_the_training_forward(self, shape, rows, G):
+        net = make_tiny_net(**shape)
+        X = gaussian_fill(RngState(rows), rows, net.d)
+        thetas = np.stack([random_theta(net, seed=s, std=0.3)
+                           for s in range(G - 1)]
+                          + [init_params(net, RngState(G))])
+        z = embed(net, thetas, X)
+        assert z.shape == (G, rows, net.e)
+        assert z.flags.c_contiguous
+        for g, theta in enumerate(thetas):
+            want = training_embedding(net, theta, X).tobytes()
+            assert z[g].tobytes() == want, g
+
+    @pytest.mark.parametrize("shape, rows, G", CASES)
+    def test_vector_gives_a_contiguous_n_by_e(self, shape, rows, G):
+        net = make_tiny_net(**shape)
+        X = gaussian_fill(RngState(rows), rows, net.d)
+        theta = random_theta(net, seed=G, std=0.3)
+        z = embed(net, theta, X)
+        assert z.shape == (rows, net.e)
+        assert z.flags.c_contiguous
+        assert z.tobytes() == training_embedding(net, theta, X).tobytes()
+
     def test_embedding_matches_forward_byte_for_byte(self):
         net = make_tiny_net()
         X = gaussian_fill(RngState(4), 37, net.d)
@@ -201,47 +314,24 @@ class TestEmbed:
         with pytest.raises(ArithmeticError):
             embed(net, theta, gaussian_fill(RngState(9), 4, net.d))
 
-    def test_input_dim_checked(self):
-        net = make_tiny_net()
-        with pytest.raises(ValueError):
-            embed(net, random_theta(net), np.zeros((2, net.d + 1)))
-
-
-class TestStackedEmbed:
-    """Slice g of stacked_embed is embed's array for thetas[g], byte for
-    byte, on the vector path and in every k loop it can take."""
-
-    # (net shape, rows, G): all vector paths; the default shapes at 256
-    # rows, whose first and second layers run the k loop; effective-weight
-    # products over the vector cutoff
-    CASES = ((dict(), 37, 3), (dict(d=16, h=32, e=16, rank=8), 256, 8),
-             (dict(d=40, h=64, e=24, rank=8), 9, 4))
-
-    @pytest.mark.parametrize("shape, rows, G", CASES)
-    def test_slices_match_embed(self, shape, rows, G):
-        net = make_tiny_net(**shape)
-        X = gaussian_fill(RngState(rows), rows, net.d)
-        thetas = np.stack([random_theta(net, seed=s, std=0.3)
-                           for s in range(G - 1)]
-                          + [init_params(net, RngState(G))])
-        z = stacked_embed(net, thetas, X)
-        assert z.shape == (G, rows, net.e)
-        assert z.flags.c_contiguous
-        for g, theta in enumerate(thetas):
-            assert z[g].tobytes() == embed(net, theta, X).tobytes(), g
-
     def test_one_nan_theta_raises(self):
         net = make_tiny_net()
         thetas = np.stack([random_theta(net, seed=s) for s in (1, 2, 3)])
         thetas[1, 0] = np.nan
         with pytest.raises(ArithmeticError):
-            stacked_embed(net, thetas, gaussian_fill(RngState(9), 4, net.d))
+            embed(net, thetas, gaussian_fill(RngState(9), 4, net.d))
 
     def test_input_dim_checked(self):
         net = make_tiny_net()
         with pytest.raises(ValueError):
-            stacked_embed(net, random_theta(net)[None],
-                          np.zeros((2, net.d + 1)))
+            embed(net, random_theta(net), np.zeros((2, net.d + 1)))
+
+    def test_stack_input_dim_checked(self):
+        net = make_tiny_net()
+        thetas = np.stack([random_theta(net, seed=s) for s in (1, 2)])
+        for stack in (thetas[:1], thetas):
+            with pytest.raises(ValueError):
+                embed(net, stack, np.zeros((2, net.d + 1)))
 
 
 class TestFiniteness:
@@ -268,9 +358,9 @@ def _bytes(x) -> bytes:
 
 
 class TestDirectReductions:
-    """The step path calls numpy's reductions directly instead of through
-    the Python wrappers (`np.mean`, `ndarray.sum`, `ndarray.max`); each
-    must give the wrapper's bytes."""
+    """The step path and the landscape probe call numpy's reductions
+    directly instead of through the Python wrappers (`np.mean`,
+    `ndarray.sum`, `ndarray.max`); each must give the wrapper's bytes."""
 
     @pytest.mark.parametrize("n", [1, 3, 16, 17, 64, 256, 1280])
     def test_head_loss_is_the_mean_of_log_p(self, n):
@@ -309,6 +399,25 @@ class TestDirectReductions:
             loss, grad = backbone_loss_and_grad(net, batch)
             assert _bytes(loss) == _bytes(want_loss)
             assert grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 17, 64, 256, 1280])
+    def test_landscape_value_is_the_mean_of_squares(self, n):
+        from ilora_lab import landscape_grid
+        net = make_tiny_net(d=16, h=32, e=16, c=4)
+        theta = random_theta(net, seed=n, std=0.3)
+        d1 = random_theta(net, seed=n + 1)
+        d2 = random_theta(net, seed=n + 2)
+        probe = make_batch(RngState(n + 3), n, net.d, net.c)
+        coords = np.array([-1.0, 0.0, 0.5])
+        grid = landscape_grid(theta, d1, d2, coords, coords, net, probe)
+        z0 = embed(net, theta, probe.X)
+        want = np.zeros((3, 3))
+        for i, a in enumerate(coords):
+            for j, b in enumerate(coords):
+                if a != 0.0 or b != 0.0:
+                    z = embed(net, theta + a * d1 + b * d2, probe.X)
+                    want[i, j] = np.mean((z - z0) ** 2)
+        assert grid.values.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [1, 17, 64, 256])
     def test_deviation_term_is_the_mean_of_squares(self, n):

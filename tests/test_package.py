@@ -1,9 +1,11 @@
 import importlib
 import importlib.util
+import json
 import types
 from pathlib import Path
 
 import ilora_lab
+from ilora_lab.cli import main
 
 
 def test_all_lists_only_the_public_api():
@@ -17,15 +19,45 @@ def test_all_lists_only_the_public_api():
     assert len(ilora_lab.__all__) == len(exported)
 
 
-def test_benchmark_trace_targets_resolve():
-    """Every function the benchmark's tracer patches is still bound where
-    the tracer looks it up; a moved function would go uncounted."""
+def load_tracing():
+    """The benchmark's tracer module, loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_trace_targets_resolve():
+    """Every function the benchmark's tracer patches is still bound where
+    the tracer looks it up; a moved function would go uncounted."""
+    tracing = load_tracing()
     for mod_name, attr in tracing.TARGETS:
         obj = importlib.import_module(f"{tracing.PACKAGE}.{mod_name}")
         for part in attr.split("."):
             obj = getattr(obj, part, None)
         assert callable(obj), f"{mod_name}.{attr} does not resolve"
+
+
+def test_traced_run_and_probes(tmp_path):
+    """A tiny ILORA run, a sweep and both embedding probes under the
+    benchmark's tracer: its counters read every traced call's arguments
+    (``matmul``'s as a 2-D shape), so a traced round must not fail where an
+    untraced one passes."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "stream": {"tasks": 3, "input_dim": 8, "classes": 3,
+                   "n_train": 48, "n_eval": 32},
+        "arch": {"hidden": 12, "embed": 8, "rank": 4, "alpha": 8.0,
+                 "pretrain_epochs": 2},
+        "strategy": {"kind": "ILORA"}, "training": {"epochs": 1}}))
+    out = str(tmp_path / "run")
+    tracer = load_tracing().Tracer()
+    with tracer.patched():
+        for argv in (["run", str(cfg), "--out", out],
+                     ["sweep-lambda", out, "--transition", "1"],
+                     ["probe", out, "cka"],
+                     ["probe", out, "landscape", "--transition", "1",
+                      "--grid-points", "3"]):
+            assert main(argv) == 0, argv
+    assert tracer.summary()["matmul"]["calls"] > 0
