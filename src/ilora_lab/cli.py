@@ -141,8 +141,9 @@ def _exit_code(command):
         except (FileNotFoundError, IsADirectoryError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_MISSING
-        # ConfigError, bad or foreign checkpoints, an output path in use
-        except (ValueError, FileExistsError, NotADirectoryError) as exc:
+        # ConfigError, bad or foreign checkpoints, an output path in use,
+        # any other filesystem error (a name too long, a symlink loop)
+        except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         except ArithmeticError as exc:

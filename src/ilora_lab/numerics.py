@@ -12,36 +12,56 @@ K-row x and y. It holds the one orientation switch: when n < m it sums
 y (x) x and returns that n x m result's transpose as a C-contiguous copy.
 Products commute and every entry is still summed k-ascending from +0.0, so
 the bytes are the same, and the rows of the product it computes are never
-shorter than its columns. It then takes one of two paths:
+shorter than its columns. It then takes one of three paths:
 
-- small products (K*m*n <= _VECTOR_MAX_ELEMS, output not 1x1) build a
-  C-contiguous array of the K x rows x cols products and sum it over its
-  outer axis, which numpy does slice by slice, i.e. k-ascending. Its inner
-  axis is the longer side, because numpy runs one inner loop per row and
-  fewer, longer rows cost less. The sum starts from ``initial=0.0``, the
-  loop's own zero start, so a ``-0.0`` total comes out ``+0.0``. A 1x1
-  output is left to the loop because numpy reduces a contiguous axis
-  pairwise.
-- larger products loop over k, making each outer product in one reused
-  buffer and adding it to the output, so the temporary stays the output's
-  size. x[k] is read in place; y is copied to C order _ROW_BLOCK rows at a
-  time (a view when it already is), so the copy stays _ROW_BLOCK rows. numpy
-  copies both operands of the loop's broadcast multiply into its ufunc
-  buffers (8,192 values by default) when a row is shorter than the buffer;
-  with the buffer size at most the row length it runs its vector loop on
-  each row in place, 2-3x faster at 256-value rows. So around the loop the
-  buffer size is the row length rounded down to a multiple of 16 (numpy
-  rejects other sizes), and at least 16; a ``finally`` restores the
-  caller's size on return and on an exception. Every operation in the loop
-  is elementwise, so the buffer size changes no bytes.
+- the vector path: small products (K*m*n <= _VECTOR_MAX_ELEMS, output not
+  1x1) build a C-contiguous array of the K x rows x cols products and sum
+  it over its outer axis, which numpy does slice by slice, i.e.
+  k-ascending. Its inner axis is the longer side, because numpy runs one
+  inner loop per row and fewer, longer rows cost less. The sum starts from
+  ``initial=0.0``, the loop's own zero start, so a ``-0.0`` total comes out
+  ``+0.0``. A 1x1 output is left to the k loop because numpy reduces a
+  contiguous axis pairwise.
+- blocked sums: a larger product whose output is small but whose K is long
+  (output not 1x1, rows of at most _BLOCK_MAX_ROW values, and a block of
+  _BLOCK_MAX_ELEMS // output-size >= _ROW_BLOCK k's) is summed a block of
+  k's at a time. The block's products go into one preallocated
+  (block, ..., rows, cols) array, the running total is added into its
+  first slice as ``total + products[0]``, and ``np.add.reduce`` over the
+  outer axis writes the block's sum into the total. The reduce runs along
+  a non-contiguous axis, so numpy adds the slices one by one in k order,
+  the running sum as the first operand, as the k loop's ``out += tmp``
+  does; it starts from its identity +0.0, which changes no sum that starts
+  at +0.0. So each entry is the same k-ascending sum, NaN payloads
+  included. A block makes 3 ufunc calls where the k loop makes 2 per k,
+  and that per-call cost is most of what the K=256 products of a wide
+  adapter step pay: interleaved in-process medians went from 1.87 to
+  1.51 ms (h1 @ W2eff.T, 64x256x64), 1.53 to 0.94 ms (64x256x32) and 1.32
+  to 0.73 ms (32x256x64). A block of fewer k's, or rows over 256 values
+  whose one-k temporary stays in L1, measured slower than the k loop.
+- the k loop: any other product loops over k, making each outer product in
+  one reused buffer and adding it to the output, so the temporary stays
+  the output's size. x[k] is read in place; y is copied to C order
+  _ROW_BLOCK rows at a time (a view when it already is), so the copy stays
+  _ROW_BLOCK rows. Blocked sums copy each block's y rows the same way.
+
+numpy copies both operands of a broadcast multiply into its ufunc buffers
+(8,192 values by default) when a row is shorter than the buffer; with the
+buffer size at most the row length it runs its vector loop on each row in
+place, 2-3x faster at 256-value rows. So around blocked sums and the k loop
+the buffer size is the row length rounded down to a multiple of 16 (numpy
+rejects other sizes), and at least 16; a ``finally`` restores the caller's
+size on return and on an exception. Every operation there is elementwise
+or a slice-by-slice sum, so the buffer size changes no bytes.
 
 ``stacked_matmul(a, b)`` computes the G products a[g] @ b[g] of a (G, m, K)
 and a (G, K, n) stack through the same ``_outer_sum``, with x (K, G, m) and
-y (K, G, n). The switch and both paths are written with ``...``, so they
-serve 2-D and stacked operands; the vector budget counts the whole stack's
-K*G*m*n products. Slice g is byte for byte ``matmul(a[g], b[g])``, and each
-k iteration does G products' work, which pays where many small products
-share their shapes. ``matmul`` stays 2-D.
+y (K, G, n). The switch and all three paths are written with ``...``, so
+they serve 2-D and stacked operands; the vector budget counts the whole
+stack's K*G*m*n products and the block budget its G*m*n outputs. Slice g
+is byte for byte ``matmul(a[g], b[g])``, and each k iteration does G
+products' work, which pays where many small products share their shapes.
+``matmul`` stays 2-D.
 
 The kernel does not check finiteness; the model checks its losses,
 gradients, logits and embeddings once per call instead, with ``all_finite``.
@@ -260,10 +280,18 @@ def as_matrix(data) -> np.ndarray:
 
 _FLOAT64 = np.dtype(np.float64)
 # Largest K*m*n product that matmul computes as one K x m x n array
-# (32k float64 values, a 256 KB temporary); larger products take the k loop.
+# (32k float64 values, a 256 KB temporary); larger ones take a blocked sum
+# or the k loop.
 _VECTOR_MAX_ELEMS = 1 << 15
-# Rows of y that the k loop copies to C order at a time.
+# Rows of y that the k loop copies to C order at a time; also the fewest
+# k's a blocked sum takes at a time.
 _ROW_BLOCK = 8
+# Products a blocked sum multiplies at a time (64k float64 values, a 512 KB
+# buffer): a block takes this over the output's size (the whole stack's)
+# k's.
+_BLOCK_MAX_ELEMS = 1 << 16
+# Longest output row that a blocked sum takes; longer rows keep the k loop.
+_BLOCK_MAX_ROW = 256
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -304,15 +332,29 @@ def _outer_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.add.reduce(np.multiply(x[..., None], y[..., None, :],
                                          order="C"), axis=0, initial=0.0)
     out = np.zeros((*x.shape[1:], n))
-    tmp = np.empty_like(out)
+    block = 0
+    if m * n > 1 and n <= _BLOCK_MAX_ROW:
+        block = _BLOCK_MAX_ELEMS // out.size
     caller_bufsize = np.setbufsize(max(16, n // 16 * 16))
     try:
-        for start in range(0, len(x), _ROW_BLOCK):
-            stop = start + _ROW_BLOCK
-            rows = np.ascontiguousarray(y[start:stop])[..., None, :]
-            for x_k, y_k in zip(x[start:stop, ..., None], rows):
-                np.multiply(x_k, y_k, out=tmp)
-                out += tmp
+        if block >= _ROW_BLOCK:
+            products = np.empty((block, *out.shape))
+            for start in range(0, len(x), block):
+                stop = start + block
+                rows = np.ascontiguousarray(y[start:stop])
+                p = products[:len(rows)]
+                np.multiply(x[start:stop, ..., None], rows[..., None, :],
+                            out=p)
+                np.add(out, p[0], out=p[0])
+                np.add.reduce(p, axis=0, out=out)
+        else:
+            tmp = np.empty_like(out)
+            for start in range(0, len(x), _ROW_BLOCK):
+                stop = start + _ROW_BLOCK
+                rows = np.ascontiguousarray(y[start:stop])[..., None, :]
+                for x_k, y_k in zip(x[start:stop, ..., None], rows):
+                    np.multiply(x_k, y_k, out=tmp)
+                    out += tmp
     finally:
         np.setbufsize(caller_bufsize)
     return out

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import shutil
@@ -305,6 +306,20 @@ class TestRunDirectory:
         assert_one_line_error(capsys, "error: numeric failure: ")
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
+    # with the parent there the name is refused before training; without
+    # it, when the run is written into the name's hidden sibling
+    @pytest.mark.parametrize("parent", [True, False])
+    def test_name_too_long_exit_2(self, tmp_path, capsys, parent):
+        path = write_config(tmp_path)
+        if parent:
+            (tmp_path / "w").mkdir()
+        out = tmp_path / "w" / ("x" * 300)
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert_one_line_error(capsys, f"error: [Errno {errno.ENAMETOOLONG}]")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json",
+                                                              "w"]
+        assert list((tmp_path / "w").iterdir()) == []
+
     @pytest.mark.parametrize("cwd, arg", [(".", "o"), ("o", ".")])
     def test_empty_out_is_filled(self, tmp_path, monkeypatch, cwd, arg):
         path = write_config(tmp_path)
@@ -369,7 +384,8 @@ def ilora_run(tmp_path_factory):
 
 def test_wide_run_and_sweep_keep_the_buffer_size(tmp_path, monkeypatch):
     # 256 hidden units and 32-row batches send the forward and backward
-    # passes through matmul's k loop, which sets numpy's buffer size
+    # passes through matmul's blocked sums and k loop, which set numpy's
+    # buffer size
     cfg = write_config(tmp_path, {
         "stream": {"tasks": 2},
         "arch": {"hidden": 256, "pretrain_epochs": 1, "pretrain_batch": 32},
@@ -428,6 +444,16 @@ class TestSweepCommand:
     def test_missing_run_dir_exit_3(self, tmp_path):
         assert main(["sweep-lambda", str(tmp_path / "nope"),
                      "--transition", "1"]) == 3
+
+    @pytest.mark.parametrize("command", [["sweep-lambda", "--transition",
+                                          "1"], ["probe", "wd"]])
+    def test_run_dir_in_a_symlink_loop_exit_2(self, tmp_path, capsys,
+                                              command):
+        loop = tmp_path / "loop"
+        loop.symlink_to(loop)
+        verb, *args = command
+        assert main([verb, str(loop), *args]) == 2
+        assert_one_line_error(capsys, f"error: [Errno {errno.ELOOP}]")
 
     @pytest.mark.parametrize("name", ["config_echo.json", "backbone.bin",
                                       "task2_working.bin"])

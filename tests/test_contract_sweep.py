@@ -2,9 +2,11 @@
 
 Each config's odd sizes are drawn from its seed; its fixed part picks what
 it covers: partial batches with rank 1 and two classes; hidden 300 and
-embed 160 with SGD, so training products take matmul's k loop; stratified
-replay. Per config, the five null-hyperparameter reductions hold byte for
-byte and a rerun from config_echo.json writes the same bytes.
+embed 160 with SGD, so training products take matmul's blocked sums and
+k loop; stratified replay. Per config, the five null-hyperparameter
+reductions hold byte for byte and a rerun from config_echo.json writes the
+same bytes. A wide ILORA run writes the same bytes with blocked sums
+switched off.
 """
 
 import dataclasses
@@ -13,7 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from ilora_lab import RngState, run_sequence
+from ilora_lab import RngState, numerics, run_sequence
 from ilora_lab.artifacts import rebuild_environment
 from ilora_lab.cli import _strategy_config, main, validate_config
 from ilora_lab.numerics import _VECTOR_MAX_ELEMS
@@ -102,4 +104,32 @@ def test_contract(name, tmp_path):
     assert main(["run", str(path), "--out", str(tmp_path / "a")]) == 0
     assert main(["run", str(tmp_path / "a" / "config_echo.json"),
                  "--out", str(tmp_path / "b")]) == 0
+    assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+
+
+def test_blocked_sums_change_no_byte(tmp_path, monkeypatch):
+    # hidden 256 sends the K=256 second layer, its stacked slow-memory
+    # twin and the dW2 products through matmul's blocked sums; the same run
+    # with them off (every such product in the k loop) writes the same bytes
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(draw_config(
+        304, "ILORA", {"tasks": 2, "input_dim": 8, "classes": 3,
+                       "n_train": 95},
+        {"hidden": 256, "embed": 16, "rank": 4, "pretrain_batch": 32},
+        {"epochs": 1, "batch_size": 32})))
+    multiply = np.multiply
+    calls = []
+
+    def count(*args, **kwargs):
+        calls.append(None)
+        return multiply(*args, **kwargs)
+
+    monkeypatch.setattr(np, "multiply", count)
+    products = []
+    for out, block_max in (("a", numerics._BLOCK_MAX_ELEMS), ("b", 0)):
+        monkeypatch.setattr(numerics, "_BLOCK_MAX_ELEMS", block_max)
+        calls.clear()
+        assert main(["run", str(path), "--out", str(tmp_path / out)]) == 0
+        products.append(len(calls))
+    assert products[0] < products[1] // 2
     assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")

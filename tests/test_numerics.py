@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from ilora_lab import RngState, finite_diff_grad, gaussian_fill, matmul
-from ilora_lab.numerics import (_FILL_CHUNK, _JUMP_ROWS, _VECTOR_MAX_ELEMS,
-                                _box_muller, skip_gaussian_fill,
-                                stacked_matmul)
+from ilora_lab.numerics import (_BLOCK_MAX_ELEMS, _FILL_CHUNK, _JUMP_ROWS,
+                                _VECTOR_MAX_ELEMS, _box_muller,
+                                skip_gaussian_fill, stacked_matmul)
 
 
 def triple_loop_matmul(a, b):
@@ -65,9 +65,46 @@ def assert_bit_equal_to_loop(a, b, rng, max_full=4096, samples=16):
         assert out[i, j].tobytes() == want.tobytes(), (m, k, n, i, j)
 
 
+def spy_products(monkeypatch, fail_at=0):
+    """Record (shape, buffer size) of every product array np.multiply
+    makes; raise FloatingPointError at call number fail_at."""
+    calls = []
+    multiply = np.multiply
+
+    def spy(x, y, *args, **kwargs):
+        calls.append((np.broadcast_shapes(x.shape, y.shape), np.getbufsize()))
+        if len(calls) == fail_at:
+            raise FloatingPointError("injected")
+        return multiply(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "multiply", spy)
+    return calls
+
+
+@pytest.fixture
+def bufsize_4096():
+    old = np.setbufsize(4096)
+    yield
+    np.setbufsize(old)
+
+
+def product_shapes(calls):
+    return [shape for shape, _ in calls]
+
+
+def block_shapes(k, block, shape):
+    """The product shapes of a blocked sum over k: whole blocks, then the
+    rest."""
+    return [(min(block, k - start), *shape) for start in range(0, k, block)]
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
 class TestMatmulBitExact:
     """matmul must reproduce the naive k-ascending triple loop bit for bit on
-    both kernel paths, whatever the operand layout."""
+    every kernel path, whatever the operand layout."""
 
     SIDES = (1, 2, 3, 16, 64, 256)
     INNER = (1, 2, 9, 16, 33, 64, 256)
@@ -128,13 +165,15 @@ class TestMatmulBitExact:
 
 
 class TestMatmulLongRows:
-    """k-loop products run along their longer axis with numpy's buffer size
-    set to that row length rounded down to a multiple of 16 (at least 16),
-    then restore the caller's."""
+    """Products over the vector cutoff, blocked or in the k loop, run along
+    their longer axis with numpy's buffer size set to that row length
+    rounded down to a multiple of 16 (at least 16), then restore the
+    caller's."""
 
     # (long side, k, short side), each over the vector cutoff: around and
     # over 256-value rows, the stacked 1,820-row sweep, wide-adapter's three
-    # 64-value-row products and a loop whose longer side is under 16
+    # 64-value-row products and a product whose longer side is under 16;
+    # those with rows of at most 256 values are blocked sums
     SHAPES = ((255, 17, 8), (256, 17, 8), (257, 17, 8), (300, 17, 8),
               (1820, 5, 4), (64, 256, 64), (64, 256, 32), (4, 4096, 4))
 
@@ -153,56 +192,156 @@ class TestMatmulLongRows:
                         assert_bit_equal_to_loop(a, b, rng,
                                                  max_full=k * m * n)
 
-    @pytest.fixture
-    def bufsize_4096(self):
-        old = np.setbufsize(4096)
-        yield
-        np.setbufsize(old)
-
     @pytest.mark.parametrize("m, n", [(1820, 4), (4, 1820), (300, 8),
                                       (64, 64), (4, 4)])
     def test_buffer_size_scoped_to_the_loop(self, monkeypatch, bufsize_4096,
                                             m, n):
-        # every k-loop product sees its longer side rounded down to a
-        # multiple of 16, at least 16; the caller's size is back afterwards
+        # every product sees its longer side rounded down to a multiple of
+        # 16, at least 16; the caller's size is back afterwards. (64, 64)
+        # and (4, 4) are blocked sums (3-D product arrays), the rest k loops
         k = max(16, _VECTOR_MAX_ELEMS // (m * n) + 1)
-        seen = []
-        multiply = np.multiply
-
-        def spy(*args, **kwargs):
-            seen.append(np.getbufsize())
-            return multiply(*args, **kwargs)
-
-        monkeypatch.setattr(np, "multiply", spy)
+        calls = spy_products(monkeypatch)
         matmul(np.ones((m, k)), np.ones((k, n)))
         long = max(m, n)
-        assert set(seen) == {max(16, long // 16 * 16)}
+        assert {size for _, size in calls} == {max(16, long // 16 * 16)}
+        blocked = (m, n) in ((64, 64), (4, 4))
+        assert {len(shape) for shape in product_shapes(calls)} == \
+            {3 if blocked else 2}
         assert np.getbufsize() == 4096
 
     @pytest.mark.parametrize("m, n", [(1820, 4), (4, 1820)])
     def test_buffer_size_restored_after_an_error(self, monkeypatch,
                                                  bufsize_4096, m, n):
-        calls = []
-        multiply = np.multiply
-
-        def fail_third(*args, **kwargs):
-            calls.append(np.getbufsize())
-            if len(calls) == 3:
-                raise FloatingPointError("injected")
-            return multiply(*args, **kwargs)
-
-        monkeypatch.setattr(np, "multiply", fail_third)
+        calls = spy_products(monkeypatch, fail_at=3)
         with pytest.raises(FloatingPointError, match="injected"):
             matmul(np.ones((m, 16)), np.ones((16, n)))
-        assert calls == [1808] * 3
+        assert calls == [((4, 1820), 1808)] * 3  # k-loop products
         assert np.getbufsize() == 4096
 
 
-class TestMatmulCallerBufsize:
-    """The caller's ufunc buffer size changes no byte of a product: the k
-    loop sets its own, and the vector path's sum is k-ascending at any."""
+def nan(payload, negative=False):
+    """A quiet NaN with the given payload."""
+    word = 0x7FF8000000000000 | payload | (1 << 63 if negative else 0)
+    return np.array(word, dtype=np.uint64).view(np.float64)[()]
 
-    # vector path and k loop, both orientations, and the 1x1 output
+
+class TestMatmulBlocked:
+    """A product with a small output and a long K is summed a block of k's
+    at a time: the block's products in one array, the running total added
+    to its first slice, the block summed over its outer axis into the
+    total. Each entry is still the triple loop's k-ascending sum from +0.0,
+    bit for bit."""
+
+    @staticmethod
+    def k_around(block):
+        return (block - 1, block, block + 1, 2 * block + 3)
+
+    # both sides of the orientation switch, and a block of 256 k's
+    @pytest.mark.parametrize("m, n", [(64, 32), (32, 64), (64, 64), (16, 16)])
+    def test_block_edges_give_the_loop_bits(self, monkeypatch, m, n):
+        block = _BLOCK_MAX_ELEMS // (m * n)
+        rng = np.random.default_rng(m * 1000 + n)
+        for k in self.k_around(block):
+            a = operand(rng, m, k, "T")
+            b = operand(rng, k, n, "strided")
+            calls = spy_products(monkeypatch)
+            out = matmul(a, b)
+            monkeypatch.undo()
+            assert product_shapes(calls) == block_shapes(
+                k, block, (min(m, n), max(m, n))), (m, k, n)
+            assert out.flags.c_contiguous
+            assert (bits(out) == bits(triple_loop_matmul(a, b))).all()
+
+    @pytest.mark.parametrize("G, m, n", [(1, 32, 16), (3, 16, 32),
+                                         (3, 32, 16)])
+    def test_stacks_give_the_loop_bits(self, monkeypatch, G, m, n):
+        block = _BLOCK_MAX_ELEMS // (G * m * n)
+        rng = np.random.default_rng(G * 10007 + m * 101 + n)
+        for k in self.k_around(block):
+            a = stack_operand(rng, G, m, k, "inner")
+            b = stack_operand(rng, G, k, n, "T")
+            calls = spy_products(monkeypatch)
+            out = stacked_matmul(a, b)
+            monkeypatch.undo()
+            assert product_shapes(calls) == block_shapes(
+                k, block, (G, min(m, n), max(m, n))), (G, m, k, n)
+            for g in range(G):
+                want = triple_loop_matmul(a[g], b[g])
+                assert (bits(out[g]) == bits(want)).all(), (G, m, k, n, g)
+
+    def test_negative_zero_total_becomes_positive_zero(self):
+        # every product is -0.0; the loop's sum starts at +0.0
+        rng = np.random.default_rng(17)
+        for m, k, n in ((64, 256, 64), (64, 256, 32), (16, 300, 16)):
+            a = np.zeros((m, k))
+            b = -np.abs(rng.standard_normal((k, n)))
+            out = matmul(a, b)
+            assert not np.signbit(out).any()
+            assert (bits(out) == bits(triple_loop_matmul(a, b))).all()
+
+    @pytest.mark.parametrize("m, n", [(64, 32), (32, 64)])
+    def test_nan_payloads_and_infinities_match_the_loop(self, m, n):
+        # the total is the first operand of every add: a NaN carried into a
+        # block keeps its payload over the NaN of the block's first k, and
+        # one summed within a block keeps it over a later one
+        block = _BLOCK_MAX_ELEMS // (m * n)
+        k = 2 * block + 3
+        rng = np.random.default_rng(43)
+        a = rng.standard_normal((m, k))
+        b = rng.standard_normal((k, n))
+        a[3, 0], a[3, block], a[3, block + 1] = nan(1), nan(2, True), nan(3)
+        a[5, block + 2] = nan(4, True)
+        b[block + 4, 7] = nan(5)
+        b[9, :] = np.inf
+        a[7, 9], a[8, 9] = 0.0, -np.inf
+        b[2 * block, 1] = -np.inf
+        with np.errstate(invalid="ignore"):
+            out = matmul(a, b)
+            want = triple_loop_matmul(a, b)
+        payloads = {int(w) for w in bits(out)[np.isnan(out)]}
+        assert {int(nan(1).view(np.uint64)),
+                int(nan(4, True).view(np.uint64))} < payloads
+        assert (bits(out) == bits(want)).all()
+
+    # a return, and an error in the second block
+    @pytest.mark.parametrize("fail_at", [0, 2])
+    def test_buffer_size_restored(self, monkeypatch, bufsize_4096, fail_at):
+        calls = spy_products(monkeypatch, fail_at)
+        a, b = np.ones((16, 256)), np.ones((256, 64))
+        if fail_at:
+            with pytest.raises(FloatingPointError, match="injected"):
+                matmul(a, b)
+        else:
+            matmul(a, b)
+        assert calls == [((64, 16, 64), 64)] * (fail_at or 4)
+        assert np.getbufsize() == 4096
+
+    @pytest.mark.parametrize("G", [1, 3])
+    def test_single_outputs_stay_sequential(self, monkeypatch, G):
+        # numpy sums a contiguous (K, 1) axis pairwise; a 1x1 output, alone
+        # or stacked, takes the k loop however long K is
+        rng = np.random.default_rng(G)
+        k = 1000
+        scale = 10.0 ** rng.integers(-8, 8, (G, 1, k))
+        a = rng.standard_normal((G, 1, k)) * scale
+        b = rng.standard_normal((G, k, 1))
+        calls = spy_products(monkeypatch)
+        out = stacked_matmul(a, b)
+        monkeypatch.undo()
+        assert product_shapes(calls) == [(G, 1, 1)] * k
+        for g in range(G):
+            want = triple_loop_matmul(a[g], b[g])
+            assert (bits(out[g]) == bits(want)).all()
+            assert (bits(matmul(a[g], b[g])) == bits(want)).all()
+
+
+class TestMatmulCallerBufsize:
+    """The caller's ufunc buffer size changes no byte of a product: blocked
+    sums and the k loop set their own, and the vector path's sum is
+    k-ascending at any."""
+
+    # the vector path, blocked sums and the k loop, both orientations, and
+    # the 1x1 output
     SHAPES = ((8, 16, 64), (64, 16, 8), (64, 256, 32), (32, 256, 64),
               (300, 17, 8), (8, 17, 300), (1, 300, 1))
 
@@ -240,15 +379,18 @@ def stack_operand(rng, G, rows, cols, layout):
 
 
 class TestStackedMatmul:
-    """stacked_matmul gives each slice the triple loop's bytes, on both
+    """stacked_matmul gives each slice the triple loop's bytes, on all three
     kernel paths and in both orientations, whatever the stack's layout."""
 
     LAYOUTS = ("C", "T", "strided", "inner")
-    # (G, m, K, n): the vector path with n >= m and n < m, the k loop with
-    # n >= m and n < m (under and over 16-value rows), and G = 1 on each
+    # (G, m, K, n): the vector path with n >= m and n < m; blocked sums with
+    # n >= m and n < m, a whole block and a partial one; the k loop for a
+    # 1x1 output, for rows over 256 values in both orientations and for a
+    # block under 8 k's; and G = 1 on the first two paths
     SHAPES = ((3, 4, 5, 6), (3, 6, 5, 4), (8, 16, 8, 32), (8, 32, 8, 16),
               (2, 1, 9, 1), (3, 20, 30, 70), (3, 70, 30, 20), (4, 5, 33, 9),
-              (1, 8, 8, 32), (1, 64, 17, 40), (1, 40, 17, 64))
+              (1, 8, 8, 32), (1, 64, 17, 40), (1, 40, 17, 64),
+              (2, 3, 40, 300), (2, 300, 40, 3), (3, 48, 8, 60))
 
     @pytest.mark.parametrize("G, m, k, n", SHAPES)
     def test_slices_match_the_loop(self, G, m, k, n):
@@ -265,21 +407,24 @@ class TestStackedMatmul:
                     assert out[g].tobytes() == want, (G, m, k, n, g)
                     assert matmul(a[g], b[g]).tobytes() == want
 
-    def test_both_paths_are_taken(self, monkeypatch):
-        seen = []
-        multiply = np.multiply
+    # (G, m, K, n) and the product shapes np.multiply makes
+    PATHS = (
+        # vector path: one (K, G, m, n) product array
+        ((8, 16, 8, 32), [(8, 8, 16, 32)]),
+        # blocked sum: 65,536 // 4,200 = 15 k's a block
+        ((3, 20, 30, 70), [(15, 3, 20, 70)] * 2),
+        # k loop: one (G, m, n) product per k, for rows over 256 values, a
+        # block under 8 k's (65,536 // 8,400 = 7) and a 1x1 output
+        ((1, 2, 60, 300), [(1, 2, 300)] * 60),
+        ((3, 40, 30, 70), [(3, 40, 70)] * 30),
+        ((2, 1, 40, 1), [(2, 1, 1)] * 40))
 
-        def spy(*args, **kwargs):
-            seen.append(args[0].ndim)
-            return multiply(*args, **kwargs)
-
-        monkeypatch.setattr(np, "multiply", spy)
-        # one 4-D product array, then a loop of 3-D (G, m, n) products
-        stacked_matmul(np.ones((8, 16, 8)), np.ones((8, 8, 32)))
-        assert seen == [4]
-        seen.clear()
-        stacked_matmul(np.ones((3, 20, 30)), np.ones((3, 30, 70)))
-        assert seen == [3] * 30
+    def test_all_three_paths_are_taken(self, monkeypatch):
+        calls = spy_products(monkeypatch)
+        for (G, m, k, n), products in self.PATHS:
+            calls.clear()
+            stacked_matmul(np.ones((G, m, k)), np.ones((G, k, n)))
+            assert product_shapes(calls) == products, (G, m, k, n)
 
     def test_negative_zero_total_becomes_positive_zero(self):
         rng = np.random.default_rng(5)
@@ -296,28 +441,13 @@ class TestStackedMatmul:
             with pytest.raises(ValueError):
                 stacked_matmul(a, b)
 
-    @pytest.fixture
-    def bufsize_4096(self):
-        old = np.setbufsize(4096)
-        yield
-        np.setbufsize(old)
-
     @pytest.mark.parametrize("m, n", [(300, 8), (8, 300)])
     def test_buffer_size_restored_after_an_error(self, monkeypatch,
                                                  bufsize_4096, m, n):
-        calls = []
-        multiply = np.multiply
-
-        def fail_third(*args, **kwargs):
-            calls.append(np.getbufsize())
-            if len(calls) == 3:
-                raise FloatingPointError("injected")
-            return multiply(*args, **kwargs)
-
-        monkeypatch.setattr(np, "multiply", fail_third)
+        calls = spy_products(monkeypatch, fail_at=3)
         with pytest.raises(FloatingPointError, match="injected"):
             stacked_matmul(np.ones((4, m, 16)), np.ones((4, 16, n)))
-        assert calls == [288] * 3
+        assert calls == [((4, 8, 300), 288)] * 3  # k-loop products
         assert np.getbufsize() == 4096
 
 
