@@ -17,6 +17,7 @@ Checkpoints          binary, little-endian: magic ``ILORA1``, u32 format
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import shutil
@@ -78,13 +79,35 @@ def write_json(path, payload) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
+def _partial(out: Path) -> Path:
+    """The hidden sibling that `write_run` builds the run in. The sibling of
+    "." or ".." needs the real name; realpath, unlike ``Path.resolve``,
+    leaves a symlink loop unresolved instead of raising RuntimeError."""
+    out = Path(os.path.realpath(out))
+    return out.with_name(f".{out.name}.{os.getpid()}.partial")
+
+
 def claim_run_dir(out: Path) -> None:
-    """Refuse an output path that is a file or a non-empty directory, so no
-    existing file is touched, and make its parent; call it before training."""
-    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+    """Refuse an output path that is a file, a broken symlink or a non-empty
+    directory, so no existing file is touched; make its parent, then make
+    and remove the hidden sibling `write_run` will use, so a name that
+    cannot be made fails here and not after training. On a failure the
+    parents made here are removed. Call it before training."""
+    if os.path.lexists(out) and not (out.is_dir() and
+                                     not any(out.iterdir())):
         raise FileExistsError(f"output path {out} exists and is not an "
                               "empty directory")
-    out.parent.mkdir(parents=True, exist_ok=True)
+    made = [p for p in out.parents if not p.exists()]  # nearest first
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        sibling = _partial(out)
+        sibling.mkdir()
+        sibling.rmdir()
+    except OSError:
+        for parent in made:
+            with contextlib.suppress(OSError):
+                parent.rmdir()
+        raise
 
 
 def write_run(out: Path, cfg: dict, net: Network, record: RunRecord,
@@ -93,8 +116,7 @@ def write_run(out: Path, cfg: dict, net: Network, record: RunRecord,
     that is then renamed to `out`: `out` holds a complete run or nothing."""
     seed = cfg["seed"]
     R = record.result_matrix
-    out = out.resolve()  # a sibling of "." or ".." needs the real name
-    tmp = out.with_name(f".{out.name}.{os.getpid()}.partial")
+    tmp = _partial(out)
     tmp.mkdir()
     try:
         write_json(tmp / "config_echo.json", cfg)
@@ -112,7 +134,7 @@ def write_run(out: Path, cfg: dict, net: Network, record: RunRecord,
             "bwt": [bwt_t(R, t) for t in range(2, R.T + 1)],
             "general_retention": gen_retention,
         })
-        tmp.rename(out)
+        tmp.rename(os.path.realpath(out))
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise

@@ -32,8 +32,10 @@ class TaskSpec:
     class_separation: float = 2.0
 
     def __post_init__(self):
-        if self.cluster_std < 0.0:
-            raise ValueError("cluster_std must be >= 0")
+        # a negative separation or shift mirrors the stream
+        for key in ("cluster_std", "class_separation", "mean_shift"):
+            if getattr(self, key) < 0.0:
+                raise ValueError(f"{key} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -143,6 +145,9 @@ class ArchConfig:
     def __post_init__(self):
         if self.pretrain_lr < 0.0:
             raise ValueError("pretrain_lr must be >= 0")
+        # alpha 0 makes every adapter a no-op, a negative one flips its sign
+        if self.alpha <= 0.0:
+            raise ValueError("alpha must be > 0")
 
 
 def pretrain_backbone(anchor_train: Batch, arch: ArchConfig, seed: int,

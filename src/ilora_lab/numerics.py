@@ -102,17 +102,17 @@ change the stream. sqrt and the products are correctly rounded in both and
 stay vectorised. The fill runs in chunks of 1,024 uniforms, so its
 temporaries stay under 100 KB whatever the matrix size.
 
-``RngState.advance`` skips states without computing them: the state k
-steps after x (k <= 512) is the xor of column k-1 of the jump table over
-the set bits of x, so a skip of n states costs ceil(n/512) such xors and no
-Box-Muller. ``skip_gaussian_fill`` uses it to pass over a fill that is
-never read, e.g. a training set when only eval sets are needed.
+``skip_gaussian_fill`` passes over a fill that is never read, e.g. a
+training set when only eval sets are needed: it reads the fill's uniforms
+from the lookahead and drops them, so it costs a block's xor reduction and
+uniforms per 512 states and no Box-Muller, and leaves the generator where
+the fill would.
 
 The scalar methods (``next_u64`` and, through it, ``next_float``,
-``next_below`` and ``gauss_pair``) and ``advance`` first resync: the
-generator's state becomes the last lookahead state read and the unread rest
-of the block is dropped. Interleaving bulk and scalar draws therefore
-leaves the stream unchanged.
+``next_below`` and ``gauss_pair``) first resync: the generator's state
+becomes the last lookahead state read and the unread rest of the block is
+dropped. Interleaving bulk and scalar draws therefore leaves the stream
+unchanged.
 """
 
 from __future__ import annotations
@@ -127,6 +127,8 @@ _XORSHIFT_MULT = 0x2545F4914F6CDD1D
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 # States per jump-table block: the table is 64 x 512 uint64, 256 KB.
 _JUMP_ROWS = 512
+# Bit positions 0..63, to pick a state's set bits as a mask.
+_BIT_INDEX = np.arange(64, dtype=np.uint64)
 
 
 def _splitmix64(x: int) -> int:
@@ -222,23 +224,12 @@ class RngState:
             done += k
         return out
 
-    def advance(self, count: int) -> None:
-        """Skip ``count`` states without computing the ones in between;
-        leaves the generator where ``count`` ``next_u64`` calls would."""
-        if count < 0:
-            raise ValueError("advance requires count >= 0")
-        self._resync()
-        tab = _jump_table()
-        x = self._state
-        for start in range(0, count, _JUMP_ROWS):
-            k = min(_JUMP_ROWS, count - start)
-            x = int(np.bitwise_xor.reduce(tab[_set_bits(x), k - 1]))
-        self._state = x
-
 
 def _states_after(x: int) -> np.ndarray:
-    """The _JUMP_ROWS states that follow state x."""
-    return np.bitwise_xor.reduce(_jump_table()[_set_bits(x)], axis=0)
+    """The _JUMP_ROWS states that follow state x: the xor of the jump
+    table's rows at the set bits of x, picked by one boolean mask."""
+    bits = np.uint64(x) >> _BIT_INDEX & np.uint64(1) == 1
+    return np.bitwise_xor.reduce(_jump_table()[bits], axis=0)
 
 
 def _uniforms_of(states: np.ndarray) -> np.ndarray:
@@ -246,10 +237,6 @@ def _uniforms_of(states: np.ndarray) -> np.ndarray:
     (uint64 wraps), its top 53 bits, times 2^-53; every step is exact."""
     u64 = states * np.uint64(_XORSHIFT_MULT)
     return (u64 >> 11).astype(np.float64) * 2.0 ** -53
-
-
-def _set_bits(x: int) -> list[int]:
-    return [b for b in range(64) if x >> b & 1]
 
 
 @functools.cache
@@ -418,7 +405,7 @@ def gaussian_fill(rng: RngState, rows: int, cols: int,
 def skip_gaussian_fill(rng: RngState, rows: int, cols: int) -> None:
     """Leave ``rng`` where ``gaussian_fill(rng, rows, cols)`` would, without
     drawing the values."""
-    rng.advance(_fill_states(rows, cols))
+    rng.uniforms(_fill_states(rows, cols))
 
 
 def finite_diff_grad(loss_fn, theta: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -187,7 +187,8 @@ def run_sequence(config: StrategyConfig, stream: list[tuple[Batch, Batch]],
         theta = state.theta_w
         if buffer is not None:
             buffer.ingest_task(train, rows[-1], rng)
-        if config.kind == "EWC" and config.lambda_ewc > 0.0:
+        # no task follows the last, so nothing reads its Fisher
+        if config.kind == "EWC" and config.lambda_ewc > 0.0 and rows[-1] < T:
             subset = Batch(train.X[:FISHER_SAMPLE_CAP],
                            train.y[:FISHER_SAMPLE_CAP])
             fisher = ewc_fisher(net, theta, subset)

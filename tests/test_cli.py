@@ -192,11 +192,17 @@ class TestRunCommand:
         ({"training": {"warmup_ratio": -1.0}}, {}),
         ({"training": {"warmup_ratio": 1.5}}, {}),
         ({"stream": {"cluster_std": -0.5}}, {}),
+        ({"arch": {"alpha": 0}}, {}),
+        ({"arch": {"alpha": -8.0}}, {}),
+        ({"stream": {"class_separation": -2.0}}, {}),
+        ({"stream": {"mean_shift": -0.5}}, {}),
     ], ids=["epochs-str", "rank-0", "gamma-nan", "batch-bool", "n_train-0",
             "base_lr-inf", "base_lr-huge-int", "deploy_slow-int",
             "optimizer-null", "out_dir-int", "base_lr-negative",
             "pretrain_lr-negative", "warmup_ratio-negative",
-            "warmup_ratio-above-1", "cluster_std-negative"])
+            "warmup_ratio-above-1", "cluster_std-negative", "alpha-0",
+            "alpha-negative", "class_separation-negative",
+            "mean_shift-negative"])
     def test_mistyped_value_exit_2_before_writing(self, tmp_path, capsys,
                                                   monkeypatch, overrides,
                                                   top):
@@ -215,11 +221,20 @@ class TestRunCommand:
         with pytest.raises(ConfigError, match=key):
             validate_config({block: {key: value}})
 
-    @pytest.mark.parametrize("block, key", [("stream", "cluster_std"),
-                                            ("arch", "pretrain_lr")])
+    @pytest.mark.parametrize("block, key", [
+        ("stream", "cluster_std"), ("stream", "class_separation"),
+        ("stream", "mean_shift"), ("arch", "pretrain_lr"), ("arch", "alpha")])
     def test_one_block_checks_name_the_block(self, block, key):
         with pytest.raises(ConfigError, match=rf"^{block}\.{key} must be"):
             validate_config({block: {key: -0.5}})
+
+    def test_zero_spread_and_rank_above_hidden_accepted(self):
+        stream = {"cluster_std": 0, "class_separation": 0.0,
+                  "mean_shift": 0.0}
+        arch = {"hidden": 4, "rank": 9}
+        cfg = validate_config({"stream": stream, "arch": arch})
+        assert cfg["stream"] == {**cfg["stream"], **stream}
+        assert cfg["arch"] == {**cfg["arch"], **arch}
 
     def test_zero_rates_and_warmup_bounds_accepted(self):
         for training in ({"base_lr": 0, "warmup_ratio": 0.0},
@@ -306,19 +321,56 @@ class TestRunDirectory:
         assert_one_line_error(capsys, "error: numeric failure: ")
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
-    # with the parent there the name is refused before training; without
-    # it, when the run is written into the name's hidden sibling
+    @staticmethod
+    def forbid_training(monkeypatch):
+        def no_pretraining(*args, **kwargs):
+            raise AssertionError("trained before the output name was made")
+
+        monkeypatch.setattr("ilora_lab.artifacts.pretrain_backbone",
+                            no_pretraining)
+
+    # a name too long itself, with and without its parent there: refused
+    # before training, and a parent made for it is removed again
     @pytest.mark.parametrize("parent", [True, False])
-    def test_name_too_long_exit_2(self, tmp_path, capsys, parent):
+    def test_name_too_long_exit_2(self, tmp_path, capsys, monkeypatch,
+                                  parent):
+        self.forbid_training(monkeypatch)
         path = write_config(tmp_path)
         if parent:
             (tmp_path / "w").mkdir()
         out = tmp_path / "w" / ("x" * 300)
         assert main(["run", str(path), "--out", str(out)]) == 2
         assert_one_line_error(capsys, f"error: [Errno {errno.ENAMETOOLONG}]")
+        left = sorted(p.name for p in tmp_path.iterdir())
+        assert left == (["config.json", "w"] if parent else ["config.json"])
+        if parent:
+            assert list((tmp_path / "w").iterdir()) == []
+
+    # a valid name whose hidden `.{name}.{pid}.partial` sibling is too
+    # long, under missing parents
+    @pytest.mark.parametrize("parents", ["", "w", "w/v"])
+    def test_sibling_name_too_long_exit_2(self, tmp_path, capsys,
+                                          monkeypatch, parents):
+        self.forbid_training(monkeypatch)
+        path = write_config(tmp_path)
+        out = tmp_path / parents / ("x" * 250)
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert_one_line_error(capsys, f"error: [Errno {errno.ENAMETOOLONG}]")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    # a link to nothing, and a link to itself
+    @pytest.mark.parametrize("target", ["gone", "link"])
+    def test_broken_symlink_out_refused_exit_2(self, tmp_path, capsys,
+                                               monkeypatch, target):
+        self.forbid_training(monkeypatch)
+        path = write_config(tmp_path)
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / target)
+        assert main(["run", str(path), "--out", str(link)]) == 2
+        assert_one_line_error(capsys, "error: output path ")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json",
-                                                              "w"]
-        assert list((tmp_path / "w").iterdir()) == []
+                                                              "link"]
+        assert os.readlink(link) == str(tmp_path / target)
 
     @pytest.mark.parametrize("cwd, arg", [(".", "o"), ("o", ".")])
     def test_empty_out_is_filled(self, tmp_path, monkeypatch, cwd, arg):

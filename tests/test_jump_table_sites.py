@@ -1,0 +1,52 @@
+"""Where the package may read the RNG jump table.
+
+Every multi-value draw and every skip reads ``RngState.uniforms``'s
+lookahead, whose blocks ``numerics._states_after`` makes from the jump
+table. This test pins that one reader, so a second walker over the table
+(a skip or a jump of its own) fails here instead of growing beside the
+lookahead.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+from test_blas_sites import SRC
+
+
+def jump_table_sites(path: Path) -> Counter:
+    """(file, enclosing function): references to ``_jump_table``, called or
+    not, by name or as an attribute."""
+    sites = Counter()
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if (isinstance(node, ast.Name) and node.id == "_jump_table") or \
+                (isinstance(node, ast.Attribute) and
+                 node.attr == "_jump_table"):
+            sites[(path.name, func)] += 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return sites
+
+
+def test_only_states_after_reads_the_jump_table():
+    found = Counter()
+    for path in sorted(SRC.glob("*.py")):
+        found += jump_table_sites(path)
+    assert found == Counter({("numerics.py", "_states_after"): 1})
+
+
+def test_the_scanner_sees_each_form(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "def _jump_table():\n"
+        "    return None\n"
+        "table = _jump_table\n"
+        "def f(x):\n"
+        "    return _jump_table()[x], numerics._jump_table()\n")
+    assert jump_table_sites(path) == Counter({("m.py", "<module>"): 1,
+                                              ("m.py", "f"): 2})

@@ -4,7 +4,8 @@ import pytest
 from ilora_lab import RngState, finite_diff_grad, gaussian_fill, matmul
 from ilora_lab.numerics import (_BLOCK_MAX_ELEMS, _FILL_CHUNK, _JUMP_ROWS,
                                 _VECTOR_MAX_ELEMS, _box_muller,
-                                skip_gaussian_fill, stacked_matmul)
+                                _states_after, skip_gaussian_fill,
+                                stacked_matmul)
 
 
 def triple_loop_matmul(a, b):
@@ -695,23 +696,7 @@ class TestBulkGaussianFill:
 
 
 class TestAdvance:
-    """Skipping states through the jump table against stepping over them."""
-
-    SEEDS = (0, 1, 2 ** 63, 2 ** 64 - 1)
-
-    def test_advance_matches_next_u64_calls(self):
-        B = _JUMP_ROWS
-        for seed in self.SEEDS:
-            for count in (0, 1, B - 1, B, B + 1, 2 * B, 2 * B + 1, 70001):
-                jumped, stepped = RngState(seed), RngState(seed)
-                jumped.advance(count)
-                for _ in range(count):
-                    stepped.next_u64()
-                assert jumped.next_u64() == stepped.next_u64(), (seed, count)
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            RngState(0).advance(-1)
+    """Advancing the generator past a fill that is never read."""
 
     def test_skip_leaves_the_state_a_fill_leaves(self):
         for rows, cols in ((1, 1), (3, 5), (4, 6), (129, 7), (512, 16)):
@@ -719,6 +704,16 @@ class TestAdvance:
             skip_gaussian_fill(skipped, rows, cols)
             gaussian_fill(filled, rows, cols)
             assert skipped.next_u64() == filled.next_u64(), (rows, cols)
+
+    def test_skip_across_blocks_matches_stepping(self):
+        # from a partly read block, over whole blocks, to a partly read one
+        for seed in (0, 2 ** 64 - 1):
+            skipped, stepped = RngState(seed), RngState(seed)
+            skipped.uniforms(100)
+            skip_gaussian_fill(skipped, 7, 10001)
+            for _ in range(100 + 70008):
+                stepped.next_u64()
+            assert skipped.next_u64() == stepped.next_u64(), seed
 
 
 class TestBulkUniforms:
@@ -738,6 +733,17 @@ class TestBulkUniforms:
                 assert got.tolist() == want, (n, count)
             assert bulk.next_u64() == scalar.next_u64(), (n, counts)
 
+    @pytest.mark.parametrize("x", [1, 1 << 63, 2 ** 64 - 1,
+                                   0x5555555555555555])
+    def test_block_is_the_next_states_for_any_bits(self, x):
+        rng = RngState(0)
+        rng._state = x
+        want = []
+        for _ in range(self.B):
+            rng.next_u64()
+            want.append(rng._state)
+        assert _states_after(x).tolist() == want
+
     def test_values_are_next_float(self):
         bulk, scalar = RngState(1), RngState(1)
         got = bulk.uniforms(2 * self.B + 3)
@@ -750,7 +756,7 @@ class TestBulkUniforms:
         # rest unread; the stream must go on from the last value read
         consumers = [
             lambda r: gaussian_fill(r, 3, 5).tobytes(),
-            lambda r: r.advance(40),
+            lambda r: skip_gaussian_fill(r, 4, 10),
             lambda r: r.next_u64(),
             lambda r: r.next_below(9),
             lambda r: r.choose_without_replacement(30, 7),

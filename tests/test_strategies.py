@@ -48,6 +48,22 @@ class TestRunShape:
         with pytest.raises(ValueError):
             run_sequence(StrategyConfig(), [], net, RngState(0))
 
+    @pytest.mark.parametrize("T", [1, 3])
+    def test_ewc_estimates_no_fisher_after_the_last_task(self, monkeypatch,
+                                                         T):
+        from ilora_lab import strategies
+        stream, net = small_env(T=T)
+        fisher, calls = strategies.ewc_fisher, []
+
+        def counted(*args):
+            calls.append(args)
+            return fisher(*args)
+
+        monkeypatch.setattr(strategies, "ewc_fisher", counted)
+        run_sequence(StrategyConfig(kind="EWC", epochs=1), stream.pairs, net,
+                     RngState(0))
+        assert len(calls) == T - 1
+
     def test_steps_per_task(self):
         cfg = StrategyConfig(epochs=3, batch_size=16)
         assert steps_per_task(96, cfg) == 18
