@@ -197,10 +197,22 @@ def cmd_sweep_lambda(run_dir: str, transition: int, points: int = 21,
 
 
 @_exit_code
-def cmd_probe(run_dir: str, kind: str, transition: int = 1,
-              grid_extent: float = 1.5, grid_points: int = 11) -> None:
+def cmd_probe(run_dir: str, kind: str, transition: int | None = None,
+              grid_extent: float | None = None,
+              grid_points: int | None = None) -> None:
+    """Probe `kind` over a finished run. The three options are the
+    landscape's (None: 1, 1.5, 11); the other probes refuse them."""
+    options = {"--transition": transition, "--grid-extent": grid_extent,
+               "--grid-points": grid_points}
+    given = [flag for flag, value in options.items() if value is not None]
+    if kind != "landscape" and given:
+        raise ConfigError(f"probe {kind} takes no {', '.join(given)} "
+                          f"(landscape options)")
     cfg = validate_config(read_echo(run_dir))
     if kind == "landscape":
+        transition = 1 if transition is None else transition
+        grid_extent = 1.5 if grid_extent is None else grid_extent
+        grid_points = 11 if grid_points is None else grid_points
         _check_transition(transition, cfg)
         if grid_points < 2:
             raise ConfigError(f"grid points must be >= 2, got {grid_points}")
@@ -258,9 +270,10 @@ def main(argv=None) -> int:
     p_probe = sub.add_parser("probe", help="diagnostics over a finished run")
     p_probe.add_argument("run_dir")
     p_probe.add_argument("kind", choices=["wd", "cka", "landscape"])
-    p_probe.add_argument("--transition", type=int, default=1)
-    p_probe.add_argument("--grid-extent", type=float, default=1.5)
-    p_probe.add_argument("--grid-points", type=int, default=11)
+    # landscape's options; their defaults are cmd_probe's
+    p_probe.add_argument("--transition", type=int)
+    p_probe.add_argument("--grid-extent", type=float)
+    p_probe.add_argument("--grid-points", type=int)
 
     args = parser.parse_args(argv)
     if args.command == "run":

@@ -7,6 +7,11 @@ arrays in order, all row-major: ``_adapter_layout`` (A1, B1, A2, B2) and
 ``_backbone_layout`` (W1, b1, W2, b2, Whead, bhead). The effective delta on
 an adapted matrix is (alpha/rank) * B @ A and B is zero at init, so a fresh
 adapter set reproduces the backbone exactly.
+
+One forward, ``_embed_cached``, serves training and ``embed``, under a pair
+of effective weight matrices or (G, ...) stacks of them; slice g of a stack
+has the bytes of the pair W1eff[g], W2eff[g] (each column of a product is
+its own sum), and ``_product`` alone picks the stacked kernel.
 """
 
 from __future__ import annotations
@@ -142,24 +147,30 @@ def init_params(net: Network, rng: RngState) -> np.ndarray:
     return _init(rng, _adapter_layout(net))
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b of two matrices, or the G products of two (G, ...) stacks."""
+    return matmul(a, b) if a.ndim == 2 else stacked_matmul(a, b)
+
+
 def _effective_weights(net: Network, A1, B1, A2, B2):
     """Adapted weight matrices from the four adapter factors, or (G, ...)
     stacks of them from stacks of factors."""
-    product = matmul if A1.ndim == 2 else stacked_matmul
-    W1eff = net.W1 + net.scaling * product(B1, A1)
-    W2eff = net.W2 + net.scaling * product(B2, A2)
+    W1eff = net.W1 + net.scaling * _product(B1, A1)
+    W2eff = net.W2 + net.scaling * _product(B2, A2)
     return W1eff, W2eff
 
 
 def _embed_cached(net: Network, W1eff: np.ndarray, W2eff: np.ndarray,
                   X: np.ndarray):
-    """Embedding and hidden activation. The pre-activation is not kept: the
+    """Embedding (n, e) and hidden activation (n, h), or (G, n, e) and
+    (n, G, h) under stacks of weights. The pre-activation is not kept: the
     ReLU mask the backward pass needs is h1 > 0, which holds exactly where
     the pre-activation is > 0 (NaN included)."""
-    h1 = matmul(X, W1eff.T)
+    h1 = matmul(X, W1eff.reshape(-1, net.d).T)
+    h1 = h1.reshape(len(X), *W1eff.shape[:-1])
     h1 += net.b1
     np.maximum(h1, 0.0, out=h1)
-    z = matmul(h1, W2eff.T) + net.b2
+    z = _product(h1.swapaxes(0, -2), W2eff.swapaxes(-1, -2)) + net.b2
     return z, h1
 
 
@@ -168,31 +179,17 @@ def _head(net: Network, z: np.ndarray) -> np.ndarray:
 
 
 def embed(net: Network, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Pre-head embedding of an input batch; the head is not run. A vector
-    theta (P,) gives a C-contiguous (n, e) array, a (G, P) stack a (G, n, e)
-    one whose slice g is the embedding of theta[g]. Raises ArithmeticError
-    on a non-finite embedding.
-
-    A vector runs as a stack of one. Every entry is the k-ascending sum of
-    the training forward (``_embed_cached``): the effective weights are one
-    stacked product per factor pair, the first layer is X times the G
-    transposed W1eff side by side (each column of a product is its own
-    sum), and the second layer is one stacked product.
-    """
-    if X.shape[1] != net.d:
-        raise ValueError(f"input dim {X.shape[1]} != {net.d}")
-    thetas = np.atleast_2d(theta)
-    G, n, h = len(thetas), len(X), net.h
-    W1eff, W2eff = _effective_weights(net, *split_params(net, thetas))
-    h1 = matmul(X, W1eff.transpose(2, 0, 1).reshape(net.d, G * h))
-    h1 = h1.reshape(n, G, h)
-    h1 += net.b1
-    np.maximum(h1, 0.0, out=h1)
-    z = stacked_matmul(h1.transpose(1, 0, 2), W2eff.transpose(0, 2, 1))
-    z += net.b2
+    """Pre-head embedding of an (n, d) input batch; the head is not run. A
+    vector theta (P,) gives a C-contiguous (n, e) array, a (G, P) stack a
+    (G, n, e) one whose slice g is the embedding of theta[g]. Raises
+    ArithmeticError on a non-finite embedding."""
+    if X.ndim != 2 or X.shape[1] != net.d:
+        raise ValueError(f"input shape {X.shape} != (n, {net.d})")
+    W1eff, W2eff = _effective_weights(net, *split_params(net, theta))
+    z = _embed_cached(net, W1eff, W2eff, X)[0]
     if not all_finite(z):
         raise ArithmeticError("non-finite embedding")
-    return z.reshape(theta.shape[:-1] + z.shape[1:])
+    return z
 
 
 def forward(net: Network, theta: np.ndarray, X: np.ndarray):

@@ -617,6 +617,31 @@ class TestProbeCommand:
         assert_one_line_error(capsys)
         assert not (ilora_run / "landscape.csv").exists()
 
+    @pytest.mark.parametrize("kind, flags", [
+        ("wd", ["--transition", "1"]),
+        ("wd", ["--transition", "99", "--grid-points", "0",
+                "--grid-extent", "-5"]),
+        ("wd", ["--grid-extent", "1.5"]),
+        ("cka", ["--grid-points", "11"]),
+        ("cka", ["--transition=2"]),
+    ])
+    def test_landscape_options_refused_by_other_probes_exit_2(
+            self, seq_run, capsys, monkeypatch, kind, flags):
+        nothing_read(monkeypatch)
+        (seq_run / f"{kind}.csv").unlink(missing_ok=True)
+        assert main(["probe", str(seq_run), kind, *flags]) == 2
+        assert_one_line_error(capsys, f"error: probe {kind} takes no --")
+        assert not (seq_run / f"{kind}.csv").exists()
+
+    def test_landscape_defaults(self, ilora_run, tmp_path):
+        run = copy_run(ilora_run, tmp_path)
+        assert main(["probe", str(run), "landscape"]) == 0
+        got = (run / "landscape.csv").read_bytes()
+        assert got.count(b"\n") == 1 + 11 * 11
+        assert main(["probe", str(run), "landscape", "--transition", "1",
+                     "--grid-extent", "1.5", "--grid-points", "11"]) == 0
+        assert (run / "landscape.csv").read_bytes() == got
+
     def test_wd_walks_no_stream(self, seq_run, monkeypatch):
         calls = spy_make_stream(monkeypatch)
         assert main(["probe", str(seq_run), "wd"]) == 0

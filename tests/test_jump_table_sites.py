@@ -14,17 +14,17 @@ from pathlib import Path
 from test_blas_sites import SRC
 
 
-def jump_table_sites(path: Path) -> Counter:
-    """(file, enclosing function): references to ``_jump_table``, called or
-    not, by name or as an attribute."""
+def name_sites(path: Path, name: str) -> Counter:
+    """(file, enclosing function): references to `name`, called or not, by
+    name or as an attribute; its definition and imports are not
+    references."""
     sites = Counter()
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if (isinstance(node, ast.Name) and node.id == "_jump_table") or \
-                (isinstance(node, ast.Attribute) and
-                 node.attr == "_jump_table"):
+        if (isinstance(node, ast.Name) and node.id == name) or \
+                (isinstance(node, ast.Attribute) and node.attr == name):
             sites[(path.name, func)] += 1
         for child in ast.iter_child_nodes(node):
             visit(child, func)
@@ -36,7 +36,7 @@ def jump_table_sites(path: Path) -> Counter:
 def test_only_states_after_reads_the_jump_table():
     found = Counter()
     for path in sorted(SRC.glob("*.py")):
-        found += jump_table_sites(path)
+        found += name_sites(path, "_jump_table")
     assert found == Counter({("numerics.py", "_states_after"): 1})
 
 
@@ -48,5 +48,5 @@ def test_the_scanner_sees_each_form(tmp_path):
         "table = _jump_table\n"
         "def f(x):\n"
         "    return _jump_table()[x], numerics._jump_table()\n")
-    assert jump_table_sites(path) == Counter({("m.py", "<module>"): 1,
-                                              ("m.py", "f"): 2})
+    assert name_sites(path, "_jump_table") == Counter(
+        {("m.py", "<module>"): 1, ("m.py", "f"): 2})

@@ -6,8 +6,7 @@ import pytest
 from ilora_lab import (Batch, RngState, embed, finite_diff_grad, forward,
                        gaussian_fill, init_params, loss_and_grad,
                        param_length, predict_accuracy)
-from ilora_lab.model import (_effective_weights, _embed_cached,
-                              backbone_from_vector, backbone_vector,
+from ilora_lab.model import (backbone_from_vector, backbone_vector,
                               init_backbone, join_params, split_params,
                               softmax)
 
@@ -260,9 +259,14 @@ class TestPredictAccuracy:
 
 
 def training_embedding(net, theta, X):
-    """The training forward's embedding: the reference for `embed`."""
-    return _embed_cached(net, *_effective_weights(
-        net, *split_params(net, theta)), X)[0]
+    """The training forward written out in 2-D `matmul`s, X @ W1eff.T + b1,
+    ReLU, @ W2eff.T + b2: the reference for `embed`."""
+    from ilora_lab import matmul
+    A1, B1, A2, B2 = split_params(net, theta)
+    W1eff = net.W1 + net.scaling * matmul(B1, A1)
+    W2eff = net.W2 + net.scaling * matmul(B2, A2)
+    h1 = np.maximum(matmul(X, W1eff.T) + net.b1, 0.0)
+    return matmul(h1, W2eff.T) + net.b2
 
 
 class TestEmbed:
@@ -300,6 +304,15 @@ class TestEmbed:
         assert z.flags.c_contiguous
         assert z.tobytes() == training_embedding(net, theta, X).tobytes()
 
+    @pytest.mark.parametrize("shape, rows, G", CASES)
+    def test_stack_of_one_matches_its_vector(self, shape, rows, G):
+        net = make_tiny_net(**shape)
+        X = gaussian_fill(RngState(rows), rows, net.d)
+        theta = random_theta(net, seed=G, std=0.3)
+        z = embed(net, theta[None], X)
+        assert z.shape == (1, rows, net.e)
+        assert z[0].tobytes() == embed(net, theta, X).tobytes()
+
     def test_embedding_matches_forward_byte_for_byte(self):
         net = make_tiny_net()
         X = gaussian_fill(RngState(4), 37, net.d)
@@ -325,6 +338,12 @@ class TestEmbed:
         net = make_tiny_net()
         with pytest.raises(ValueError):
             embed(net, random_theta(net), np.zeros((2, net.d + 1)))
+
+    @pytest.mark.parametrize("call", [embed, forward])
+    def test_one_d_input_rejected(self, call):
+        net = make_tiny_net()
+        with pytest.raises(ValueError, match=r"input shape \(4,\)"):
+            call(net, random_theta(net), np.zeros(net.d))
 
     def test_stack_input_dim_checked(self):
         net = make_tiny_net()

@@ -19,7 +19,7 @@ WRAPPERS = {"sum", "mean", "max", "min", "all", "any", "prod", "amax",
 STEP_PATH = {
     "numerics.py": ("matmul", "_outer_sum", "all_finite"),
     "model.py": ("softmax", "_head", "_head_loss", "_embed_cached",
-                 "_effective_weights", "_hidden_backward",
+                 "_product", "_effective_weights", "_hidden_backward",
                  "_adapter_grads_from_embedding_grad", "_check_finite",
                  "embed", "forward", "loss_and_grad",
                  "backbone_loss_and_grad"),
