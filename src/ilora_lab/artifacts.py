@@ -57,9 +57,9 @@ def load_checkpoint(path):
         raise ValueError(f"bad checkpoint magic in {path}")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    payload = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    if payload.size != count:
+    if len(raw) - _HEADER.size != 8 * count:
         raise ValueError(f"checkpoint payload size mismatch in {path}")
+    payload = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
     if role >= len(ROLES):
         raise ValueError(f"unknown checkpoint role {role} in {path}")
     meta = {"task_index": task_index, "seed": seed, "role": ROLES[role]}

@@ -146,6 +146,12 @@ def _exit_code(command):
         except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
+        # a config too large for this machine's memory, say a huge
+        # arch.hidden
+        except MemoryError as exc:
+            detail = f": {exc}" if str(exc) else ""
+            print(f"error: out of memory{detail}", file=sys.stderr)
+            return EXIT_CONFIG
         except ArithmeticError as exc:
             print(f"error: numeric failure: {exc}", file=sys.stderr)
             return EXIT_NUMERIC

@@ -219,10 +219,11 @@ def _head_loss(net: Network, z: np.ndarray, y: np.ndarray):
 
 
 def _hidden_backward(dz, h1, X, W2):
-    """Backprop dz (n x e) through W2, ReLU and layer 1: dW1, dW2, dpre1."""
-    dW2 = matmul(dz.T, h1)
-    dpre1 = matmul(dz, W2) * (h1 > 0.0)
-    return matmul(dpre1.T, X), dW2, dpre1
+    """Backprop dz (n x e) through W2, ReLU and layer 1: dW1, dW2, dpre1;
+    or, from (G, ...) stacks of all four, the G backward passes."""
+    dW2 = _product(dz.swapaxes(-1, -2), h1)
+    dpre1 = _product(dz, W2) * (h1 > 0.0)
+    return _product(dpre1.swapaxes(-1, -2), X), dW2, dpre1
 
 
 def _adapter_grads_from_embedding_grad(net, dz, h1, X, A1, B1, A2, B2,
@@ -290,10 +291,9 @@ def per_sample_grads(net: Network, theta: np.ndarray, batch: Batch):
     Stacking rows changes no bits: every matmul entry is the same k-ascending
     sum, and the elementwise steps and softmax's per-row max and sum do not
     mix rows. A one-row mean and the division by n=1 change nothing, so they
-    are left out. A one-row weight gradient is a K=1 product, i.e. an outer
-    product plus 0.0 (matmul's zero start, which turns -0.0 into +0.0), and
-    the four adapter products of all rows are one column- or row-stacked
-    matmul each.
+    are left out. The rows' weight gradients are `_hidden_backward` on a
+    stack of one-row batches, a slice for each row, and the four adapter
+    products of all rows are one column- or row-stacked matmul each.
     """
     A1, B1, A2, B2 = split_params(net, theta)
     W1eff, W2eff = _effective_weights(net, A1, B1, A2, B2)
@@ -309,11 +309,9 @@ def per_sample_grads(net: Network, theta: np.ndarray, batch: Batch):
         finite = all_finite(np.log(dlogits[rows, y]))
         dlogits[rows, y] -= 1.0
         dz = matmul(dlogits, net.Whead)
-        dpre1 = matmul(dz, W2eff) * (h1 > 0.0)
-        dW2 = dz[:, :, None] * h1[:, None, :]
-        dW2 += 0.0
-        dW1 = dpre1[:, :, None] * X[:, None, :]
-        dW1 += 0.0
+        dW1, dW2, _ = _hidden_backward(
+            dz[:, None], h1[:, None], X[:, None],
+            np.broadcast_to(W2eff, (n, *W2eff.shape)))
         dA1 = matmul(B1.T, dW1.transpose(1, 0, 2).reshape(h, n * d))
         dA2 = matmul(B2.T, dW2.transpose(1, 0, 2).reshape(e, n * h))
         g = np.concatenate([

@@ -78,13 +78,13 @@ Reference stream for seed=1, first five uniforms:
 (regenerate with ``RngState(1).next_float()``).
 
 Every multi-value draw reads ``RngState.uniforms``, a lookahead block of
-the next 512 states and their uniforms, plus how many have been read:
+512 states and their uniforms, plus how many have been read:
 
 - xorshift is linear over GF(2), so the state i+1 steps after x is the xor,
   over the set bits b of x, of the state i+1 steps after ``1 << b``; those
   64 x 512 states are one jump table (256 KB), built on first use, and a
-  block is one xor reduction over it. The next block starts from the last
-  state of the previous one.
+  block is one xor reduction over it. A block starts from the generator's
+  state, when there is no block or the last one is used up.
 - uniforms are ``(state' * MULT) >> 11`` on uint64 arrays (numpy wraps like
   ``mod 2^64``), converted to float64 and scaled by 2^-53, exactly.
 - a call returns the next ``count`` uniforms in a new array, which the
@@ -108,11 +108,12 @@ from the lookahead and drops them, so it costs a block's xor reduction and
 uniforms per 512 states and no Box-Muller, and leaves the generator where
 the fill would.
 
-The scalar methods (``next_u64`` and, through it, ``next_float``,
-``next_below`` and ``gauss_pair``) first resync: the generator's state
-becomes the last lookahead state read and the unread rest of the block is
-dropped. Interleaving bulk and scalar draws therefore leaves the stream
-unchanged.
+The generator's state is always the last state handed out, whichever
+method handed it out: ``uniforms`` sets it to the last lookahead state it
+read, and the scalar methods (``next_u64`` and, through it, ``next_float``,
+``next_below`` and ``gauss_pair``) step from it. A scalar draw drops the
+unread lookahead. Interleaving bulk and scalar draws therefore leaves the
+stream unchanged.
 """
 
 from __future__ import annotations
@@ -146,24 +147,17 @@ class RngState:
         state = _splitmix64(seed & _MASK64)
         if state == 0:
             state = _SPLITMIX_GAMMA
+        # The last state handed out, by a scalar or a bulk draw.
         self._state = state
-        # uniforms() lookahead: the next states after _state, their uniforms
-        # and how many have been read; None when there is none.
+        # uniforms() lookahead: a block of states, their uniforms and how
+        # many have been read (the last one read is _state); None when
+        # there is none.
         self._ahead: np.ndarray | None = None
         self._ahead_u: np.ndarray | None = None
         self._read = 0
 
-    def _resync(self) -> None:
-        """Move the state to the last lookahead state read and drop the
-        rest; a no-op without a lookahead."""
-        if self._read:
-            self._state = int(self._ahead[self._read - 1])
-        self._ahead = self._ahead_u = None
-        self._read = 0
-
     def next_u64(self) -> int:
-        if self._ahead is not None:
-            self._resync()
+        self._ahead = None
         x = self._state
         x ^= (x >> 12)
         x ^= (x << 25) & _MASK64
@@ -215,13 +209,14 @@ class RngState:
         done = 0
         while done < count:
             if self._ahead is None or self._read == _JUMP_ROWS:
-                self._resync()
                 self._ahead = _states_after(self._state)
                 self._ahead_u = _uniforms_of(self._ahead)
+                self._read = 0
             k = min(count - done, _JUMP_ROWS - self._read)
             out[done:done + k] = self._ahead_u[self._read:self._read + k]
             self._read += k
             done += k
+            self._state = int(self._ahead[self._read - 1])
         return out
 
 

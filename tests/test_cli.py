@@ -803,6 +803,39 @@ class TestNumericFailure:
         assert np.geterr() == before
 
 
+class TestOutOfMemory:
+    """Memory running out (a config too large for the machine) exits 2
+    with one line and leaves no output. The patched functions raise
+    MemoryError themselves; nothing large is allocated."""
+
+    MESSAGE = "Unable to allocate 11.9 GiB for an array"
+
+    def exhaust(self, *args, **kwargs):
+        raise MemoryError(self.MESSAGE)
+
+    # while training, and once some files are written
+    @pytest.mark.parametrize("target", ["ilora_lab.cli.run_sequence",
+                                        "ilora_lab.artifacts.save_checkpoint"])
+    def test_run_leaves_no_out_exit_2(self, tmp_path, capsys, monkeypatch,
+                                      target):
+        monkeypatch.setattr(target, self.exhaust)
+        path = write_config(tmp_path)
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert_one_line_error(capsys, f"error: out of memory: {self.MESSAGE}")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_probe_writes_no_csv_exit_2(self, seq_run, tmp_path, capsys,
+                                        monkeypatch):
+        def exhaust(*args, **kwargs):
+            raise MemoryError  # no message: the line is just the prefix
+
+        monkeypatch.setattr("ilora_lab.cli.weight_distance", exhaust)
+        run = copy_run(seq_run, tmp_path)
+        assert main(["probe", str(run), "wd"]) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
+        assert not (run / "wd.csv").exists()
+
+
 class TestCorruptCheckpoint:
     ROLE_BYTE = 30  # after magic, version, count, task index and seed
 
@@ -861,6 +894,20 @@ class TestCheckpointHeaders:
                         "working")
         self.assert_refused(run, capsys,
                             f"(0, 1, 'working', {theta.size - 1})")
+
+    # a payload cut mid-value, or with a part-value after it, is refused
+    # before numpy reads it, with the file named
+    @pytest.mark.parametrize("edit", [lambda raw: raw[:-3],
+                                      lambda raw: raw + bytes(3)],
+                             ids=["cut", "extra"])
+    def test_payload_not_whole_values_exit_2(self, seq_run, tmp_path,
+                                             capsys, edit):
+        run = copy_run(seq_run, tmp_path)
+        path = run / "task1_working.bin"
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ValueError, match="payload size mismatch"):
+            load_checkpoint(path)
+        self.assert_refused(run, capsys, "payload size mismatch")
 
     def test_stray_longterm_files_ignored_on_seq_run(self, seq_run,
                                                      ilora_run, tmp_path,

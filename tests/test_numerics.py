@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ilora_lab import RngState, finite_diff_grad, gaussian_fill, matmul
+from ilora_lab import (Batch, RngState, finite_diff_grad, gaussian_fill,
+                       matmul)
 from ilora_lab.numerics import (_BLOCK_MAX_ELEMS, _FILL_CHUNK, _JUMP_ROWS,
                                 _VECTOR_MAX_ELEMS, _box_muller,
                                 _states_after, skip_gaussian_fill,
@@ -751,7 +752,7 @@ class TestBulkUniforms:
         assert got.tolist() == [scalar.next_float()
                                 for _ in range(2 * self.B + 3)]
 
-    def test_other_consumers_resync_at_a_partly_read_block(self):
+    def test_other_consumers_go_on_from_a_partly_read_block(self):
         # each consumer runs with part of a lookahead block read and the
         # rest unread; the stream must go on from the last value read
         consumers = [
@@ -771,6 +772,30 @@ class TestBulkUniforms:
         assert bulk.uniforms(5).tolist() == \
                [scalar.next_float() for _ in range(5)]
         assert bulk.next_u64() == scalar.next_u64()
+
+    @staticmethod
+    def stepped_state(seed, steps):
+        """The state of a scalar generator after ``steps`` draws."""
+        rng = RngState(seed)
+        for _ in range(steps):
+            rng.next_u64()
+        return rng._state
+
+    # from a fresh generator and from a partly read block
+    @pytest.mark.parametrize("before", [0, 100])
+    def test_state_is_the_last_state_handed_out(self, before):
+        batch = Batch(np.arange(20.0).reshape(10, 2), np.arange(10))
+        draws = [*((lambda r, k=k: r.uniforms(k), k)
+                   for k in (0, 1, 511, 512, 513, 1025)),
+                 (lambda r: r.shuffled(30, 7), 7),
+                 (lambda r: gaussian_fill(r, 3, 5), 16),
+                 (lambda r: skip_gaussian_fill(r, 7, 9), 64),
+                 (lambda r: batch.draw(13, r), 13)]
+        for i, (draw, steps) in enumerate(draws):
+            rng = RngState(3)
+            rng.uniforms(before)
+            draw(rng)
+            assert rng._state == self.stepped_state(3, before + steps), i
 
     def test_writing_a_returned_array_leaves_the_stream(self):
         bulk, scalar = RngState(8), RngState(8)
