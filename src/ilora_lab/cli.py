@@ -187,8 +187,8 @@ def _check_transition(t: int, cfg: dict) -> None:
 
 
 @_exit_code
-def cmd_sweep_lambda(run_dir: str, transition: int, points: int = 21,
-                     role: str = "working") -> None:
+def cmd_sweep_lambda(run_dir: str, transition: int, points: int,
+                     role: str) -> None:
     cfg = validate_config(read_echo(run_dir))
     _check_transition(transition, cfg)
     grid = default_lambda_grid(points)
@@ -203,9 +203,8 @@ def cmd_sweep_lambda(run_dir: str, transition: int, points: int = 21,
 
 
 @_exit_code
-def cmd_probe(run_dir: str, kind: str, transition: int | None = None,
-              grid_extent: float | None = None,
-              grid_points: int | None = None) -> None:
+def cmd_probe(run_dir: str, kind: str, transition: int | None,
+              grid_extent: float | None, grid_points: int | None) -> None:
     """Probe `kind` over a finished run. The three options are the
     landscape's (None: 1, 1.5, 11); the other probes refuse them."""
     options = {"--transition": transition, "--grid-extent": grid_extent,

@@ -12,6 +12,10 @@ One forward, ``_embed_cached``, serves training and ``embed``, under a pair
 of effective weight matrices or (G, ...) stacks of them; slice g of a stack
 has the bytes of the pair W1eff[g], W2eff[g] (each column of a product is
 its own sum), and ``_product`` alone picks the stacked kernel.
+
+One chain rule, ``_adapter_grads``, takes weight gradients to the adapters
+(dA = s B.T dW, dB = s dW A.T, s = alpha/rank): a stack of one for each
+``loss_and_grad`` term, a stack of rows in ``per_sample_grads``.
 """
 
 from __future__ import annotations
@@ -226,13 +230,18 @@ def _hidden_backward(dz, h1, X, W2):
     return _product(dpre1.swapaxes(-1, -2), X), dW2, dpre1
 
 
-def _adapter_grads_from_embedding_grad(net, dz, h1, X, A1, B1, A2, B2,
-                                       W2eff):
-    """Backprop an embedding-level gradient dz (n x e) into adapter grads."""
-    s = net.scaling
-    dW1eff, dW2eff, _ = _hidden_backward(dz, h1, X, W2eff)
-    return (s * matmul(B1.T, dW1eff), s * matmul(dW1eff, A1.T),
-            s * matmul(B2.T, dW2eff), s * matmul(dW2eff, A2.T))
+def _adapter_grads(net: Network, dW1, dW2, A1, B1, A2, B2) -> np.ndarray:
+    """Row i of the (n, P) result is the adapter gradient of dW1[i], dW2[i]
+    from (n, h, d) and (n, e, h) stacks; each of the four products is one
+    matmul over the n pairs' columns side by side or rows stacked."""
+    n = len(dW1)
+    parts = []
+    for dW, A, B in ((dW1, A1, B1), (dW2, A2, B2)):
+        _, rows, cols = dW.shape
+        dA = matmul(B.T, dW.transpose(1, 0, 2).reshape(rows, n * cols))
+        parts += [dA.reshape(-1, n, cols).transpose(1, 0, 2).reshape(n, -1),
+                  matmul(dW.reshape(n * rows, cols), A.T).reshape(n, -1)]
+    return np.concatenate(parts, axis=1) * net.scaling
 
 
 def _check_finite(loss: float, grad: np.ndarray) -> None:
@@ -248,13 +257,13 @@ def loss_and_grad(net: Network, theta: np.ndarray, batch: Batch,
     """
     if gamma > 0.0 and (mem_batch is None or z_target is None):
         raise ValueError("gamma > 0 requires mem_batch and z_target")
-    A1, B1, A2, B2 = split_params(net, theta)
-    W1eff, W2eff = _effective_weights(net, A1, B1, A2, B2)
+    factors = split_params(net, theta)
+    W1eff, W2eff = _effective_weights(net, *factors)
 
     z, h1 = _embed_cached(net, W1eff, W2eff, batch.X)
     loss, _, dz = _head_loss(net, z, batch.y)
-    dA1, dB1, dA2, dB2 = _adapter_grads_from_embedding_grad(
-        net, dz, h1, batch.X, A1, B1, A2, B2, W2eff)
+    dW1, dW2, _ = _hidden_backward(dz, h1, batch.X, W2eff)
+    grad = _adapter_grads(net, dW1[None], dW2[None], *factors)[0]
 
     if gamma > 0.0:
         if z_target.shape != (mem_batch.n, net.e):
@@ -263,14 +272,10 @@ def loss_and_grad(net: Network, theta: np.ndarray, batch: Batch,
         diff = zm - z_target
         loss += gamma * float(np.add.reduce(diff * diff, axis=None)
                               / diff.size)
-        dzm = (2.0 * gamma / diff.size) * diff
-        for g, mg in zip((dA1, dB1, dA2, dB2),
-                         _adapter_grads_from_embedding_grad(
-                             net, dzm, h1m, mem_batch.X, A1, B1, A2, B2,
-                             W2eff)):
-            g += mg
+        dW1, dW2, _ = _hidden_backward((2.0 * gamma / diff.size) * diff,
+                                       h1m, mem_batch.X, W2eff)
+        grad += _adapter_grads(net, dW1[None], dW2[None], *factors)[0]
 
-    grad = join_params(dA1, dB1, dA2, dB2)
     _check_finite(loss, grad)
     return loss, grad
 
@@ -292,12 +297,12 @@ def per_sample_grads(net: Network, theta: np.ndarray, batch: Batch):
     sum, and the elementwise steps and softmax's per-row max and sum do not
     mix rows. A one-row mean and the division by n=1 change nothing, so they
     are left out. The rows' weight gradients are `_hidden_backward` on a
-    stack of one-row batches, a slice for each row, and the four adapter
-    products of all rows are one column- or row-stacked matmul each.
+    stack of one-row batches, a slice for each row, and `_adapter_grads`
+    turns them into the rows' adapter gradients, as in `loss_and_grad`.
     """
-    A1, B1, A2, B2 = split_params(net, theta)
-    W1eff, W2eff = _effective_weights(net, A1, B1, A2, B2)
-    r, d, h, e = net.rank, net.d, net.h, net.e
+    factors = split_params(net, theta)
+    W1eff, W2eff = _effective_weights(net, *factors)
+    d, h, e = net.d, net.h, net.e
     size = max(1, _PER_SAMPLE_ELEMS // (h * d + e * h + param_length(net)))
     for start in range(0, batch.n, size):
         X = batch.X[start:start + size]
@@ -312,14 +317,7 @@ def per_sample_grads(net: Network, theta: np.ndarray, batch: Batch):
         dW1, dW2, _ = _hidden_backward(
             dz[:, None], h1[:, None], X[:, None],
             np.broadcast_to(W2eff, (n, *W2eff.shape)))
-        dA1 = matmul(B1.T, dW1.transpose(1, 0, 2).reshape(h, n * d))
-        dA2 = matmul(B2.T, dW2.transpose(1, 0, 2).reshape(e, n * h))
-        g = np.concatenate([
-            dA1.reshape(r, n, d).transpose(1, 0, 2).reshape(n, -1),
-            matmul(dW1.reshape(n * h, d), A1.T).reshape(n, -1),
-            dA2.reshape(r, n, h).transpose(1, 0, 2).reshape(n, -1),
-            matmul(dW2.reshape(n * e, h), A2.T).reshape(n, -1)], axis=1)
-        g *= net.scaling
+        g = _adapter_grads(net, dW1, dW2, *factors)
         if not (finite and all_finite(g)):
             raise ArithmeticError("non-finite loss or gradient")
         yield g

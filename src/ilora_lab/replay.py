@@ -14,7 +14,8 @@ from .numerics import RngState
 class ReplayBuffer:
     rho: float = 0.1
     stratified: bool = False
-    stores: list[tuple[np.ndarray, np.ndarray, int]] = field(default_factory=list)
+    stores: list[tuple[np.ndarray, np.ndarray, int]] = field(
+        default_factory=list, init=False)
     # every stored row in store order, rebuilt per ingest; None while empty
     union: Batch | None = field(default=None, init=False, repr=False)
 

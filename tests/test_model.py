@@ -353,6 +353,55 @@ class TestEmbed:
                 embed(net, stack, np.zeros((2, net.d + 1)))
 
 
+def reference_adapter_grads(net, dW1, dW2, A1, B1, A2, B2):
+    """The chain rule written out pair by pair: s * B.T dW and s * dW A.T
+    of each 2-D weight gradient, joined in layout order, one row a pair."""
+    from ilora_lab import matmul
+    s = net.scaling
+    return np.stack([join_params(s * matmul(B1.T, a), s * matmul(a, A1.T),
+                                 s * matmul(B2.T, b), s * matmul(b, A2.T))
+                     for a, b in zip(dW1, dW2)])
+
+
+class TestAdapterGrads:
+    """`_adapter_grads`, the one chain rule of `loss_and_grad` and
+    `per_sample_grads`, against the pair-by-pair products."""
+
+    # the tiny net on the vector path; the wide adapter, whose K=256
+    # products take blocked sums
+    SHAPES = (dict(d=9, h=16, e=6, rank=3),
+              dict(d=64, h=256, e=64, rank=32))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_rows_match_the_written_out_products(self, shape, n):
+        from ilora_lab.model import (_adapter_grads, _effective_weights,
+                                     _embed_cached, _hidden_backward)
+        net = make_tiny_net(**shape)
+        factors = split_params(net, random_theta(net, std=0.3))
+        W1eff, W2eff = _effective_weights(net, *factors)
+        X = gaussian_fill(RngState(n), n, net.d)
+        _, h1 = _embed_cached(net, W1eff, W2eff, X)
+        dz = gaussian_fill(RngState(n + 1), n, net.e)
+        # the stacks per_sample_grads hands over, then views of the same
+        # values that are not C-contiguous: every other slice of a doubled
+        # stack, and each slice laid out column-major
+        dW1, dW2, _ = _hidden_backward(
+            dz[:, None], h1[:, None], X[:, None],
+            np.broadcast_to(W2eff, (n, *W2eff.shape)))
+        stacks = [(dW1, dW2), (np.repeat(dW1, 2, axis=0)[::2],
+                               np.repeat(dW2, 2, axis=0)[::2]),
+                  (dW1.transpose(0, 2, 1).copy().transpose(0, 2, 1),
+                   dW2.transpose(0, 2, 1).copy().transpose(0, 2, 1))]
+        want = reference_adapter_grads(net, dW1, dW2, *factors)
+        assert want.shape == (n, param_length(net))
+        for a, b in stacks:
+            got = _adapter_grads(net, a, b, *factors)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert not any(a.flags.c_contiguous for a in stacks[2])
+
+
 class TestFiniteness:
     def test_nan_theta_rejected_by_loss_and_grad(self):
         net = make_tiny_net()
