@@ -9,16 +9,21 @@ results_matrix.csv   header ``after_task,eval_task,accuracy``; one row per
 metrics.json         keys ``acc`` (per t), ``bwt`` (from t=2),
                      ``general_retention``.
 Checkpoints          binary, little-endian: magic ``ILORA1``, u32 format
-                     version, u64 parameter count, u32 task index (0 for
+                     version, u64 value count, u32 task index (0 for
                      ``backbone.bin``), u64 seed, u8 role (0 working,
-                     1 longterm, 2 backbone), then the payload as float64 in
-                     flat parameter order.
+                     1 longterm, 2 backbone, 3 evals), then the payload as
+                     float64 in flat parameter order.
+evals.bin            the checkpoint format with task index T and role evals;
+                     the payload is the T eval inputs, task-major, as
+                     (T, n_eval, input_dim). The labels are not stored:
+                     they are ``bench.round_robin_labels``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import shutil
 import struct
@@ -26,7 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bench import ArchConfig, TaskSpec, make_stream, pretrain_backbone
+from .bench import (ArchConfig, TaskSpec, make_stream, pretrain_backbone,
+                    round_robin_labels)
 from .metrics import acc_t, bwt_t
 from .model import (Batch, Network, backbone_from_vector, backbone_vector,
                     param_length)
@@ -34,7 +40,8 @@ from .strategies import RunRecord
 
 CHECKPOINT_MAGIC = b"ILORA1"
 CHECKPOINT_VERSION = 1
-ROLES = ("working", "longterm", "backbone")  # a role's code is its index
+# a role's code is its index
+ROLES = ("working", "longterm", "backbone", "evals")
 
 _HEADER = struct.Struct("<6sIQIQB")
 
@@ -111,7 +118,7 @@ def claim_run_dir(out: Path) -> None:
 
 
 def write_run(out: Path, cfg: dict, net: Network, record: RunRecord,
-              gen_retention: float) -> None:
+              gen_retention: float, evals: list[Batch]) -> None:
     """Every file of a finished run, written into a hidden sibling of `out`
     that is then renamed to `out`: `out` holds a complete run or nothing."""
     seed = cfg["seed"]
@@ -124,6 +131,8 @@ def write_run(out: Path, cfg: dict, net: Network, record: RunRecord,
                   R.defined_entries())
         save_checkpoint(tmp / "backbone.bin", backbone_vector(net), 0, seed,
                         "backbone")
+        save_checkpoint(tmp / "evals.bin", np.stack([ev.X for ev in evals]),
+                        len(evals), seed, "evals")
         for role, thetas in (("working", record.checkpoints),
                              ("longterm", record.slow_checkpoints or [])):
             for t, theta in enumerate(thetas, start=1):
@@ -166,10 +175,10 @@ def rebuild_environment(cfg: dict):
 
 
 class SavedRun:
-    """A finished run read against its validated config echo: the backbone it
-    saved (not pretrained again), and checkpoints whose headers must hold the
-    seed, task index, role and parameter count the echo implies (ValueError
-    otherwise). Only an ILORA run has longterm checkpoints."""
+    """A finished run read against its validated config echo: the backbone
+    and eval sets it saved (not made again), and checkpoints whose headers
+    must hold the seed, task index, role and value count the echo implies
+    (ValueError otherwise). Only an ILORA run has longterm checkpoints."""
 
     def __init__(self, run_dir, cfg: dict):
         self.out, self.cfg = Path(run_dir), cfg
@@ -188,7 +197,7 @@ class SavedRun:
         held = (meta["seed"], meta["task_index"], meta["role"], params.size)
         implied = (self.cfg["seed"], task, role, count or params.size)
         if held != implied:
-            raise ValueError(f"{path} holds (seed, task, role, parameter "
+            raise ValueError(f"{path} holds (seed, task, role, value "
                              f"count) {held}; the config echo implies "
                              f"{implied}")
         return params
@@ -202,7 +211,11 @@ class SavedRun:
         return self._read(f"task{t}_{role}.bin", t, role,
                           param_length(self.net))
 
-    def evals(self, tasks: int) -> list[Batch]:
-        """The first `tasks` eval sets; the training sets are skipped."""
-        return make_stream(self.cfg["seed"], tasks, task_spec(self.cfg),
-                           train_sets=False).evals
+    def evals(self) -> list[Batch]:
+        """Every task's eval set, as the run saved it."""
+        st = self.cfg["stream"]
+        shape = (st["tasks"], st["n_eval"], st["input_dim"])
+        X = self._read("evals.bin", shape[0], "evals",
+                       math.prod(shape)).reshape(shape)
+        y = round_robin_labels(st["n_eval"], st["classes"])
+        return [Batch(x, y) for x in X]

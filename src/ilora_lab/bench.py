@@ -16,7 +16,7 @@ import numpy as np
 
 from .model import (Batch, Network, backbone_from_vector, backbone_loss_and_grad,
                     init_backbone)
-from .numerics import RngState, gaussian_fill, skip_gaussian_fill
+from .numerics import RngState, gaussian_fill
 from .optim import AdamState, adam_step
 
 
@@ -41,20 +41,19 @@ class TaskSpec:
 @dataclass(frozen=True)
 class TaskStream:
     """Per task (train, eval, spec), spec being the stream's one TaskSpec;
-    anchor is task 0's (train, eval). A stream made with
-    ``train_sets=False`` holds None for every train set."""
+    anchor is task 0's (train, eval)."""
 
-    tasks: list[tuple[Batch | None, Batch, TaskSpec]]
+    tasks: list[tuple[Batch, Batch, TaskSpec]]
 
     def __len__(self) -> int:
         return len(self.tasks)
 
     @property
-    def anchor(self) -> tuple[Batch | None, Batch]:
+    def anchor(self) -> tuple[Batch, Batch]:
         return self.tasks[0][:2]
 
     @property
-    def pairs(self) -> list[tuple[Batch | None, Batch]]:
+    def pairs(self) -> list[tuple[Batch, Batch]]:
         return [(tr, ev) for tr, ev, _ in self.tasks]
 
     @property
@@ -81,24 +80,27 @@ def _rotation_step(rng: RngState, d: int, angle_rad: float) -> np.ndarray:
     return Q
 
 
+def round_robin_labels(n: int, classes: int) -> np.ndarray:
+    """Every task's labels: counts differ by at most 1."""
+    return np.arange(n, dtype=np.int64) % classes
+
+
 def _sample_task(rng: RngState, means: np.ndarray, spec: TaskSpec,
                  n: int) -> Batch:
     c, d = means.shape
-    y = np.arange(n) % c  # round-robin labels: counts differ by at most 1
+    y = round_robin_labels(n, c)
     noise = gaussian_fill(rng, n, d, 0.0, spec.cluster_std)
-    return Batch(means[y] + noise, y.astype(np.int64))
+    return Batch(means[y] + noise, y)
 
 
-def make_stream(seed: int, T: int, base_spec: TaskSpec | None = None,
-                train_sets: bool = True) -> TaskStream:
+def make_stream(seed: int, T: int,
+                base_spec: TaskSpec | None = None) -> TaskStream:
     """Deterministic T-task stream. Task 0 is the anchor (no rotation, no
     shift); task t compounds t seeded plane rotations and adds a fresh
     class-conditional mean shift of the configured magnitude.
 
     The first T tasks are the same whatever T is, so a caller that reads
-    tasks 0..t asks for T = t+1. With ``train_sets=False`` the generator
-    jumps over each training set's draws instead of making it (the train
-    entries are None); the eval sets stay byte-identical."""
+    tasks 0..t asks for T = t+1."""
     if T < 1:
         raise ValueError("T must be >= 1")
     spec = base_spec or TaskSpec()
@@ -122,11 +124,7 @@ def make_stream(seed: int, T: int, base_spec: TaskSpec | None = None,
             norms = np.sqrt((dirs * dirs).sum(axis=1, keepdims=True))
             shifts = spec.mean_shift * dirs / np.maximum(norms, 1e-12)
             means = (Q @ anchor_means.T).T + shifts
-        if train_sets:
-            train = _sample_task(rng, means, spec, spec.n_train)
-        else:
-            train = None
-            skip_gaussian_fill(rng, spec.n_train, d)
+        train = _sample_task(rng, means, spec, spec.n_train)
         ev = _sample_task(rng, means, spec, spec.n_eval)
         tasks.append((train, ev, spec))
     return TaskStream(tasks=tasks)

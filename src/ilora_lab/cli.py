@@ -176,7 +176,7 @@ def cmd_run(config_path: str, seed_override: int | None = None,
     record = run_sequence(strategy, stream.pairs, net, RngState(cfg["seed"]))
     gen = general_retention(net, record.initial_theta, record.deployed,
                             stream.anchor[1])
-    write_run(out, cfg, net, record, gen)
+    write_run(out, cfg, net, record, gen, stream.evals)
 
 
 def _check_transition(t: int, cfg: dict) -> None:
@@ -195,7 +195,7 @@ def cmd_sweep_lambda(run_dir: str, transition: int, points: int,
     run = SavedRun(run_dir, cfg)
     theta_a = run.params(transition, role)
     theta_b = run.params(transition + 1, role)
-    *past, new = run.evals(transition + 1)
+    *past, new = run.evals()[:transition + 1]
     sweep = sweep_lambda(theta_a, theta_b, run.net, past, new, grid,
                          transition=transition)
     write_csv(run.out / f"sweep_t{transition}.csv", "lambda,Ap,An,Aall",
@@ -237,7 +237,7 @@ def cmd_probe(run_dir: str, kind: str, transition: int | None,
     elif kind == "cka":
         zs = list(embeddings(run.net, (run.params(t, "working")
                                        for t in range(1, T + 1)),
-                             run.evals(1)[0].X))
+                             run.evals()[0].X))
         write_csv(run.out / "cka.csv", "transition,cka",
                   [(t, linear_cka(zs[t - 1], zs[t])) for t in range(1, T)])
     else:
@@ -247,7 +247,7 @@ def cmd_probe(run_dir: str, kind: str, transition: int | None,
         d2 = run.params(t + 1, "longterm") - theta0
         coords = np.linspace(-grid_extent, grid_extent, grid_points)
         grid = landscape_grid(theta0, d1, d2, coords, coords, run.net,
-                              run.evals(1)[0])
+                              run.evals()[0])
         write_csv(run.out / "landscape.csv", "a,b,value",
                   [(a, b, v) for a, row in zip(grid.a_grid, grid.values)
                    for b, v in zip(grid.b_grid, row)])

@@ -2,9 +2,9 @@
 
 All numeric state is float64 numpy. The matmul kernel accumulates over the
 inner dimension in ascending order so results are bit-identical to a naive
-triple loop, independent of BLAS build details. An operand that is already a
-2-D float64 ndarray is used as it is; anything else goes through
-``as_matrix``.
+triple loop (up to NaN payloads, below), whatever the BLAS build. An
+operand that is already a 2-D float64 ndarray is used as it is; anything
+else goes through ``as_matrix``.
 
 The product is the sum over k of the outer products of column k of a and
 row k of b: ``_outer_sum(a.T, b)``, the sum over k of x[k] (x) y[k] for
@@ -12,7 +12,12 @@ K-row x and y. It holds the one orientation switch: when n < m it sums
 y (x) x and returns that n x m result's transpose as a C-contiguous copy.
 Products commute and every entry is still summed k-ascending from +0.0, so
 the bytes are the same, and the rows of the product it computes are never
-shorter than its columns. It then takes one of three paths:
+shorter than its columns. NaN payloads are the one exception: the switch
+multiplies b's entry by a's, and x86 keeps the first factor's payload when
+both are NaN, so a 2x1 NaN column times a 1x1 NaN of another payload
+carries b's payload where the unswitched order carries a's. Any NaN ends a
+run with exit 4, so no artifact holds one. It then takes one of three
+paths:
 
 - the vector path: small products (K*m*n <= _VECTOR_MAX_ELEMS, output not
   1x1) build a C-contiguous array of the K x rows x cols products and sum
@@ -101,12 +106,6 @@ on some inputs (6,986 of 2,000,000 uniforms on numpy 2.4.6), which would
 change the stream. sqrt and the products are correctly rounded in both and
 stay vectorised. The fill runs in chunks of 1,024 uniforms, so its
 temporaries stay under 100 KB whatever the matrix size.
-
-``skip_gaussian_fill`` passes over a fill that is never read, e.g. a
-training set when only eval sets are needed: it reads the fill's uniforms
-from the lookahead and drops them, so it costs a block's xor reduction and
-uniforms per 512 states and no Box-Muller, and leaves the generator where
-the fill would.
 
 The generator's state is always the last state handed out, whichever
 method handed it out: ``uniforms`` sets it to the last lookahead state it
@@ -278,7 +277,7 @@ _BLOCK_MAX_ROW = 256
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Deterministic product: accumulation over k ascending, bit-equal to the
-    naive triple loop."""
+    naive triple loop up to NaN payloads (see the module docstring)."""
     if type(a) is not np.ndarray or a.dtype is not _FLOAT64 or a.ndim != 2:
         a = as_matrix(a)
     if type(b) is not np.ndarray or b.dtype is not _FLOAT64 or b.ndim != 2:
@@ -371,13 +370,6 @@ def _box_muller(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fill_states(rows: int, cols: int) -> int:
-    """States a rows x cols fill consumes: whole pairs, so an odd count
-    draws one more."""
-    n = rows * cols
-    return n + n % 2
-
-
 def gaussian_fill(rng: RngState, rows: int, cols: int,
                   mean: float = 0.0, std: float = 1.0) -> np.ndarray:
     """rows x cols matrix of i.i.d. Gaussians via Box-Muller.
@@ -389,18 +381,12 @@ def gaussian_fill(rng: RngState, rows: int, cols: int,
     if std < 0:
         raise ValueError("std must be >= 0")
     n = rows * cols
-    n_states = _fill_states(rows, cols)
+    n_states = n + n % 2
     vals = np.empty(n_states)
     for start in range(0, n_states, _FILL_CHUNK):
         stop = min(start + _FILL_CHUNK, n_states)
         vals[start:stop] = _box_muller(rng.uniforms(stop - start))
     return (mean + std * vals[:n]).reshape(rows, cols)
-
-
-def skip_gaussian_fill(rng: RngState, rows: int, cols: int) -> None:
-    """Leave ``rng`` where ``gaussian_fill(rng, rows, cols)`` would, without
-    drawing the values."""
-    rng.uniforms(_fill_states(rows, cols))
 
 
 def finite_diff_grad(loss_fn, theta: np.ndarray, h: float = 1e-5) -> np.ndarray:

@@ -62,21 +62,21 @@ class TestStreamConstruction:
         with pytest.raises(ValueError):
             make_stream(0, 0)
 
-    def test_eval_only_walk_matches_full_stream(self):
-        # 33 * 7 values per training set: odd, so a fill's discarded tail
-        # value has to be skipped too
+    def test_first_tasks_do_not_depend_on_length(self):
+        # 33 * 7 values per training set: odd, so each training fill draws
+        # and discards one tail value
         spec = TaskSpec(n_train=33, n_eval=20, classes=3, input_dim=7)
         full = make_stream(11, 5, spec)
         for T in range(1, 6):
-            short = make_stream(11, T, spec, train_sets=False)
-            assert len(short) == T and short.anchor[0] is None
-            assert all(tr is None for tr, _ in short.pairs)
-            assert [ts for _, _, ts in short.tasks] == \
-                   [ts for _, _, ts in full.tasks[:T]]
-            for ev, ref in zip(short.evals, full.evals[:T], strict=True):
-                assert ev.X.tobytes() == ref.X.tobytes(), T
-                assert ev.y.tobytes() == ref.y.tobytes(), T
-            assert short.anchor[1] is short.evals[0]
+            short = make_stream(11, T, spec)
+            assert len(short) == T
+            for (tr, ev, ts), (rtr, rev, rts) in zip(short.tasks,
+                                                     full.tasks[:T],
+                                                     strict=True):
+                assert ts == rts
+                for got, ref in ((tr, rtr), (ev, rev)):
+                    assert got.X.tobytes() == ref.X.tobytes(), T
+                    assert got.y.tobytes() == ref.y.tobytes(), T
 
 
 def plane_by_plane_rotation(rng, d, angle_rad):

@@ -8,8 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from ilora_lab import RngState, embed, gaussian_fill, linear_cka
-from ilora_lab.artifacts import write_csv
+from ilora_lab import RngState, embed, gaussian_fill, linear_cka, make_stream
+from ilora_lab.artifacts import SavedRun, read_echo, task_spec, write_csv
 from ilora_lab.cli import (ConfigError, load_checkpoint, main,
                            save_checkpoint, validate_config)
 
@@ -532,11 +532,6 @@ class TestSweepCommand:
                      "--points", "1"]) == 2
         assert_one_line_error(capsys)
 
-    def test_stream_walk_stops_at_the_new_task(self, seq_run, monkeypatch):
-        calls = spy_make_stream(monkeypatch)
-        assert main(["sweep-lambda", str(seq_run), "--transition", "1"]) == 0
-        assert calls == [(2, False)]
-
 
 class TestProbeCommand:
     def test_wd_csv(self, seq_run):
@@ -580,7 +575,7 @@ class TestProbeCommand:
         assert stacked == [(T,)]
         # the bytes of embedding each pair's checkpoints on their own
         saved = SavedRun(run, validate_config(SMALL_CONFIG))
-        X = saved.evals(1)[0].X
+        X = saved.evals()[0].X
         rows = [(t, linear_cka(embed(saved.net, saved.params(t, "working"), X),
                                embed(saved.net, saved.params(t + 1, "working"),
                                      X)))
@@ -647,36 +642,29 @@ class TestProbeCommand:
         assert main(["probe", str(seq_run), "wd"]) == 0
         assert calls == []
 
-    @pytest.mark.parametrize("argv", [["cka"], ["landscape", "--grid-points",
-                                                "3"]])
-    def test_cka_and_landscape_walk_task_0_only(self, ilora_run, monkeypatch,
-                                                argv):
-        calls = spy_make_stream(monkeypatch)
-        assert main(["probe", str(ilora_run), *argv]) == 0
-        assert calls == [(1, False)]
-
     def test_probes_match_a_full_stream_walk(self, ilora_run, tmp_path):
-        """The eval-only walk changes no output byte: rerun every probe with
-        make_stream forced to draw the whole stream."""
-        from ilora_lab import make_stream
+        """Probes over evals.bin write the bytes that probes fed the eval
+        sets of a full make_stream walk write."""
         commands = (["sweep-lambda", "--transition", "2", "--points", "5"],
                     ["probe", "cka"],
                     ["probe", "landscape", "--grid-points", "3"])
         files = ("sweep_t2.csv", "cka.csv", "landscape.csv")
-        fast = copy_run(ilora_run, tmp_path / "fast")
-        full = copy_run(ilora_run, tmp_path / "full")
+        saved = copy_run(ilora_run, tmp_path / "saved")
+        walked = copy_run(ilora_run, tmp_path / "walked")
+        (walked / "evals.bin").unlink()
         for argv in commands:
-            assert main([argv[0], str(fast), *argv[1:]]) == 0
+            assert main([argv[0], str(saved), *argv[1:]]) == 0
 
-        def full_walk(seed, T, spec, train_sets=True):
-            return make_stream(seed, SMALL_CONFIG["stream"]["tasks"], spec)
+        def full_walk(run):
+            return make_stream(run.cfg["seed"], run.cfg["stream"]["tasks"],
+                               task_spec(run.cfg)).evals
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("ilora_lab.artifacts.make_stream", full_walk)
+            mp.setattr(SavedRun, "evals", full_walk)
             for argv in commands:
-                assert main([argv[0], str(full), *argv[1:]]) == 0
+                assert main([argv[0], str(walked), *argv[1:]]) == 0
         for name in files:
-            assert (fast / name).read_bytes() == (full / name).read_bytes()
+            assert (saved / name).read_bytes() == (walked / name).read_bytes()
 
     def test_unknown_probe_rejected(self, seq_run):
         with pytest.raises(SystemExit):
@@ -709,15 +697,16 @@ def nothing_read(monkeypatch):
 
 
 def spy_make_stream(monkeypatch):
-    """Record (T, train_sets) of every stream walk the CLI makes."""
-    from ilora_lab import make_stream
+    """Record the length T of every stream walk, wherever make_stream is
+    bound."""
     calls = []
 
-    def spy(seed, T, spec=None, train_sets=True):
-        calls.append((T, train_sets))
-        return make_stream(seed, T, spec, train_sets)
+    def spy(seed, T, spec=None):
+        calls.append(T)
+        return make_stream(seed, T, spec)
 
-    monkeypatch.setattr("ilora_lab.artifacts.make_stream", spy)
+    for where in ("ilora_lab", "ilora_lab.bench", "ilora_lab.artifacts"):
+        monkeypatch.setattr(f"{where}.make_stream", spy)
     return calls
 
 
@@ -749,6 +738,60 @@ class TestSavedBackbone:
             assert main(argv) == 2
             assert_one_line_error(capsys)
         assert not (run / "wd.csv").exists()
+
+
+class TestSavedEvals:
+    """`run` saves the eval sets it evaluated on as evals.bin; `sweep-lambda`
+    and the probes read them there and walk no stream."""
+
+    READERS = ((["sweep-lambda", "--transition", "1"], "sweep_t1.csv"),
+               (["probe", "cka"], "cka.csv"),
+               (["probe", "landscape", "--grid-points", "3"],
+                "landscape.csv"))
+
+    def test_payload_is_the_streams_eval_sets(self, ilora_run):
+        cfg = validate_config(read_echo(ilora_run))
+        T = cfg["stream"]["tasks"]
+        want = make_stream(cfg["seed"], T, task_spec(cfg)).evals
+        X, meta = load_checkpoint(ilora_run / "evals.bin")
+        assert meta == {"task_index": T, "seed": 0, "role": "evals"}
+        assert X.tobytes() == np.stack([ev.X for ev in want]).tobytes()
+        got = SavedRun(ilora_run, cfg).evals()
+        assert len(got) == T
+        for ev, ref in zip(got, want, strict=True):
+            assert ev.X.tobytes() == ref.X.tobytes()
+            assert ev.y.dtype == np.int64
+            assert ev.y.tobytes() == ref.y.tobytes()
+
+    def test_missing_evals_exit_3(self, ilora_run, tmp_path, capsys):
+        run = copy_run(ilora_run, tmp_path)
+        (run / "evals.bin").unlink()
+        for argv, csv in self.READERS:
+            assert main([argv[0], str(run), *argv[1:]]) == 3
+            assert_one_line_error(capsys)
+            assert not (run / csv).exists()
+
+    @pytest.mark.parametrize("seed, role, cut", [(5, "evals", 0),
+                                                 (0, "working", 0),
+                                                 (0, "evals", 1)],
+                             ids=["seed", "role", "count"])
+    def test_foreign_header_exit_2(self, ilora_run, tmp_path, capsys, seed,
+                                   role, cut):
+        run = copy_run(ilora_run, tmp_path)
+        X, meta = load_checkpoint(run / "evals.bin")
+        save_checkpoint(run / "evals.bin", X[cut:], meta["task_index"], seed,
+                        role)
+        for argv, csv in self.READERS:
+            assert main([argv[0], str(run), *argv[1:]]) == 2
+            assert_one_line_error(capsys, f"error: {run / 'evals.bin'} holds")
+            assert not (run / csv).exists()
+
+    def test_readers_walk_no_stream(self, ilora_run, monkeypatch):
+        # probe wd: TestProbeCommand::test_wd_walks_no_stream
+        calls = spy_make_stream(monkeypatch)
+        for argv, _ in self.READERS:
+            assert main([argv[0], str(ilora_run), *argv[1:]]) == 0
+        assert calls == []
 
 
 class TestNumericFailure:

@@ -1,10 +1,9 @@
 """Where the package may read the RNG jump table.
 
-Every multi-value draw and every skip reads ``RngState.uniforms``'s
-lookahead, whose blocks ``numerics._states_after`` makes from the jump
-table. This test pins that one reader, so a second walker over the table
-(a skip or a jump of its own) fails here instead of growing beside the
-lookahead.
+Every multi-value draw reads ``RngState.uniforms``'s lookahead, whose
+blocks ``numerics._states_after`` makes from the jump table. This test pins
+that one reader, so a second walker over the table (a skip or a jump of its
+own) fails here instead of growing beside the lookahead.
 """
 
 import ast

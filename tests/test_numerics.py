@@ -5,8 +5,7 @@ from ilora_lab import (Batch, RngState, finite_diff_grad, gaussian_fill,
                        matmul)
 from ilora_lab.numerics import (_BLOCK_MAX_ELEMS, _FILL_CHUNK, _JUMP_ROWS,
                                 _VECTOR_MAX_ELEMS, _box_muller,
-                                _states_after, skip_gaussian_fill,
-                                stacked_matmul)
+                                _states_after, stacked_matmul)
 
 
 def triple_loop_matmul(a, b):
@@ -696,27 +695,6 @@ class TestBulkGaussianFill:
         assert got.tobytes() == want.tobytes()
 
 
-class TestAdvance:
-    """Advancing the generator past a fill that is never read."""
-
-    def test_skip_leaves_the_state_a_fill_leaves(self):
-        for rows, cols in ((1, 1), (3, 5), (4, 6), (129, 7), (512, 16)):
-            skipped, filled = RngState(5), RngState(5)
-            skip_gaussian_fill(skipped, rows, cols)
-            gaussian_fill(filled, rows, cols)
-            assert skipped.next_u64() == filled.next_u64(), (rows, cols)
-
-    def test_skip_across_blocks_matches_stepping(self):
-        # from a partly read block, over whole blocks, to a partly read one
-        for seed in (0, 2 ** 64 - 1):
-            skipped, stepped = RngState(seed), RngState(seed)
-            skipped.uniforms(100)
-            skip_gaussian_fill(skipped, 7, 10001)
-            for _ in range(100 + 70008):
-                stepped.next_u64()
-            assert skipped.next_u64() == stepped.next_u64(), seed
-
-
 class TestBulkUniforms:
     """uniforms() through its lookahead block against scalar draws."""
 
@@ -757,7 +735,6 @@ class TestBulkUniforms:
         # rest unread; the stream must go on from the last value read
         consumers = [
             lambda r: gaussian_fill(r, 3, 5).tobytes(),
-            lambda r: skip_gaussian_fill(r, 4, 10),
             lambda r: r.next_u64(),
             lambda r: r.next_below(9),
             lambda r: r.choose_without_replacement(30, 7),
@@ -789,7 +766,6 @@ class TestBulkUniforms:
                    for k in (0, 1, 511, 512, 513, 1025)),
                  (lambda r: r.shuffled(30, 7), 7),
                  (lambda r: gaussian_fill(r, 3, 5), 16),
-                 (lambda r: skip_gaussian_fill(r, 7, 9), 64),
                  (lambda r: batch.draw(13, r), 13)]
         for i, (draw, steps) in enumerate(draws):
             rng = RngState(3)

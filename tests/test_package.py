@@ -1,6 +1,7 @@
 import importlib
 import importlib.util
 import json
+import sys
 import types
 from pathlib import Path
 
@@ -19,19 +20,20 @@ def test_all_lists_only_the_public_api():
     assert len(ilora_lab.__all__) == len(exported)
 
 
-def load_tracing():
-    """The benchmark's tracer module, loaded from its file."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+def load_perfbench(name):
+    """A module of the benchmark, loaded read-only from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_benchmark_trace_targets_resolve():
     """Every function the benchmark's tracer patches is still bound where
     the tracer looks it up; a moved function would go uncounted."""
-    tracing = load_tracing()
+    tracing = load_perfbench("tracing")
     for mod_name, attr in tracing.TARGETS:
         obj = importlib.import_module(f"{tracing.PACKAGE}.{mod_name}")
         for part in attr.split("."):
@@ -52,7 +54,7 @@ def test_traced_run_and_probes(tmp_path):
                  "pretrain_epochs": 2},
         "strategy": {"kind": "ILORA"}, "training": {"epochs": 1}}))
     out = str(tmp_path / "run")
-    tracer = load_tracing().Tracer()
+    tracer = load_perfbench("tracing").Tracer()
     with tracer.patched():
         for argv in (["run", str(cfg), "--out", out],
                      ["sweep-lambda", out, "--transition", "1"],
@@ -61,3 +63,31 @@ def test_traced_run_and_probes(tmp_path):
                       "--grid-points", "3"]):
             assert main(argv) == 0, argv
     assert tracer.summary()["matmul"]["calls"] > 0
+
+
+def test_benchmark_checks_pass_on_fresh_runs(tmp_path):
+    """The benchmark's own output checks on a tiny run of each kind and on
+    one probe round over a 5-task ILORA run: an artifact change that would
+    fail every benchmark command fails here first."""
+    workloads = load_perfbench("workloads")
+    tiny = {"stream": {"tasks": 5, "input_dim": 6, "classes": 3,
+                       "n_train": 24, "n_eval": 16},
+            "arch": {"hidden": 8, "embed": 6, "rank": 2, "alpha": 4.0,
+                     "pretrain_epochs": 1},
+            "training": {"epochs": 1, "batch_size": 8}}
+    training = workloads.TrainingWorkload("tiny", workloads.KINDS, tiny)
+    probes = workloads.ProbeWorkload("tiny-probes")
+    training.prepare(tmp_path, 0)
+    setup = probes.prepare(tmp_path, 0)
+    # the probe round's run on the tiny config, not the default one
+    (tmp_path / "ILORA.json").write_text(json.dumps(
+        {**tiny, "strategy": {"kind": "ILORA"}}))
+    for cmd in (*training.round(tmp_path, 0, 0), *setup,
+                *probes.round(tmp_path, 0, 0)):
+        assert main(list(cmd.argv)) == 0, cmd.label
+        cfg = json.loads((cmd.run_dir / "config_echo.json").read_text())
+        missing = [name for name in cmd.outputs(cfg)
+                   if not (cmd.run_dir / name).is_file()]
+        assert missing == [], cmd.label
+        # a run's checks are _validate_run's
+        assert cmd.validate(cfg) == [], cmd.label
