@@ -2,14 +2,17 @@
 accuracy sweeps along the path, weight distance, linear CKA, and the 2-D
 embedding-deviation landscape.
 
-The CKA and landscape probes embed one probe batch under many parameter
-vectors. ``embeddings`` runs them in blocks through ``model.embed``, one
-stacked forward per block; a block holds as many vectors as keep its
-(rows, G*hidden) first-layer activations within ``_STACK_ELEMS`` values.
-Each embedding it yields is a C-contiguous (rows, e) array with the bytes
-``embed`` gives for its vector alone, so a reduction over it, such as the
-landscape's mean, groups its terms the same way; numpy's pairwise sum over
-a strided view would group them differently and change the bits.
+The sweep, CKA and landscape probes run the model's feature-major inference
+forward, through ``model.forward`` (the sweep's accuracies) or
+``model.embed`` (CKA and the landscape). The CKA and landscape probes embed
+one probe batch under many parameter vectors. ``embeddings`` runs them in
+blocks through ``model.embed``, one stacked forward per block; a block
+holds as many vectors as keep its (G*hidden, rows) first-layer activations
+within ``_STACK_ELEMS`` values. Each embedding it yields is a C-contiguous
+(rows, e) array with the bytes ``embed`` gives for its vector alone, so a
+reduction over it, such as the landscape's mean, groups its terms the same
+way; numpy's pairwise sum over a strided view would group them differently
+and change the bits.
 """
 
 from __future__ import annotations
@@ -69,7 +72,9 @@ def sweep_lambda(theta_t: np.ndarray, theta_t1: np.ndarray, net: Network,
 
     Each lambda runs one forward over the stacked eval sets; matmul is
     bit-equal to the triple loop, so every row's logits are the ones a
-    forward over its own set would give.
+    forward over its own set would give. The sets are joined column-major,
+    so the transposed input of the feature-major inference forward is built
+    once per sweep, not once per lambda.
     """
     if grid is None:
         grid = default_lambda_grid()
@@ -81,7 +86,7 @@ def sweep_lambda(theta_t: np.ndarray, theta_t1: np.ndarray, net: Network,
     Aall = np.empty(len(grid))
     t = len(past_evals)
     evals = [*past_evals, new_eval]
-    X = np.concatenate([ev.X for ev in evals])
+    X = np.concatenate([ev.X.T for ev in evals], axis=1).T
     ends = np.cumsum([ev.n for ev in evals])
     for i, lam in enumerate(grid):
         logits, _ = forward(net, interpolate(theta_t, theta_t1, float(lam)), X)
@@ -122,8 +127,8 @@ def linear_cka(X: np.ndarray, Y: np.ndarray) -> float:
     return float(cross / (xnorm * ynorm))
 
 
-# Element budget of one block of stacked embeddings: the block's (rows,
-# G*hidden) first-layer activations stay near 64k float64 values, 512 KB;
+# Element budget of one block of stacked embeddings: the block's (G*hidden,
+# rows) first-layer activations stay near 64k float64 values, 512 KB;
 # 8 points at 256 rows and hidden 32.
 _STACK_ELEMS = 1 << 16
 

@@ -8,10 +8,26 @@ arrays in order, all row-major: ``_adapter_layout`` (A1, B1, A2, B2) and
 an adapted matrix is (alpha/rank) * B @ A and B is zero at init, so a fresh
 adapter set reproduces the backbone exactly.
 
-One forward, ``_embed_cached``, serves training and ``embed``, under a pair
-of effective weight matrices or (G, ...) stacks of them; slice g of a stack
-has the bytes of the pair W1eff[g], W2eff[g] (each column of a product is
-its own sum), and ``_product`` alone picks the stacked kernel.
+Two forwards, each in the layout its consumers want:
+
+- training, ``_embed_cached``, is row-major: h1 = relu(X W1eff.T + b1) and
+  z = h1 W2eff.T + b2 as (rows, features). The backward's products over
+  the rows want row-major h1 and dz, and softmax's per-row class sum
+  changes bits with the layout from 8 classes up.
+- inference, ``_embed_transposed``, is feature-major: h1.T = relu(W1eff
+  X.T + b1), z.T = W2eff h1.T + b2 and, in ``forward``, logits.T = Whead
+  z.T + bhead as (features, rows), or (G, features, rows) under (G, ...)
+  stacks of effective weights. The rows are every product's output rows,
+  so a batch with at least as many rows as a layer has outputs (G*hidden
+  for a stack's first layer) switches orientation in no layer's
+  ``matmul``, and under a vector every layer reads its K-row input
+  contiguously; the row-major forward switches in each layer of such a
+  batch and gathers each strided input. Slice g of a stack has the bytes
+  of the pair W1eff[g], W2eff[g] (each entry of a product is its own sum).
+
+Both compute every entry as the same k-ascending sum, so the two give the
+same bytes; ``embed`` copies its result to row order, ``forward`` returns
+transposed views. ``_product`` alone picks the stacked kernel.
 
 One chain rule, ``_adapter_grads``, takes weight gradients to the adapters
 (dA = s B.T dW, dB = s dW A.T, s = alpha/rank): a stack of one for each
@@ -166,43 +182,67 @@ def _effective_weights(net: Network, A1, B1, A2, B2):
 
 def _embed_cached(net: Network, W1eff: np.ndarray, W2eff: np.ndarray,
                   X: np.ndarray):
-    """Embedding (n, e) and hidden activation (n, h), or (G, n, e) and
-    (n, G, h) under stacks of weights. The pre-activation is not kept: the
-    ReLU mask the backward pass needs is h1 > 0, which holds exactly where
-    the pre-activation is > 0 (NaN included)."""
-    h1 = matmul(X, W1eff.reshape(-1, net.d).T)
-    h1 = h1.reshape(len(X), *W1eff.shape[:-1])
+    """The training forward: embedding (n, e) and hidden activation (n, h)
+    of an (n, d) batch. The pre-activation is not kept: the ReLU mask the
+    backward pass needs is h1 > 0, which holds exactly where the
+    pre-activation is > 0 (NaN included)."""
+    h1 = matmul(X, W1eff.T)
     h1 += net.b1
     np.maximum(h1, 0.0, out=h1)
-    z = _product(h1.swapaxes(0, -2), W2eff.swapaxes(-1, -2)) + net.b2
-    return z, h1
+    return matmul(h1, W2eff.T) + net.b2, h1
 
 
 def _head(net: Network, z: np.ndarray) -> np.ndarray:
     return matmul(z, net.Whead.T) + net.bhead
 
 
-def embed(net: Network, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Pre-head embedding of an (n, d) input batch; the head is not run. A
-    vector theta (P,) gives a C-contiguous (n, e) array, a (G, P) stack a
-    (G, n, e) one whose slice g is the embedding of theta[g]. Raises
-    ArithmeticError on a non-finite embedding."""
+def _embed_transposed(net: Network, theta: np.ndarray, X: np.ndarray):
+    """The inference forward: transposed embedding (e, n) and hidden
+    activation (h, n) of an (n, d) batch under a vector theta, or (G, e, n)
+    and (G, h, n) under a (G, P) stack. X is transposed to C order, which
+    copies nothing when X is column-major. Raises ArithmeticError on a
+    non-finite embedding."""
     if X.ndim != 2 or X.shape[1] != net.d:
         raise ValueError(f"input shape {X.shape} != (n, {net.d})")
     W1eff, W2eff = _effective_weights(net, *split_params(net, theta))
-    z = _embed_cached(net, W1eff, W2eff, X)[0]
+    h1 = matmul(W1eff.reshape(-1, net.d), np.ascontiguousarray(X.T))
+    h1 = h1.reshape(*W1eff.shape[:-1], len(X))
+    h1 += net.b1[:, None]
+    np.maximum(h1, 0.0, out=h1)
+    z = _product(W2eff, h1)
+    z += net.b2[:, None]
     if not all_finite(z):
         raise ArithmeticError("non-finite embedding")
-    return z
+    return z, h1
+
+
+def embed(net: Network, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Pre-head embedding of an (n, d) input batch; the head is not run. A
+    vector theta (P,) gives a C-contiguous (n, e) array, a (G, P) stack a
+    (G, n, e) one whose slice g is the embedding of theta[g]: the inference
+    forward's result copied to row order once. Raises ArithmeticError on a
+    non-finite embedding."""
+    z, h1 = _embed_transposed(net, theta, X)
+    # Copied while h1 is alive. Freed first, h1's block would take the copy
+    # and leave the forward's temporaries free at the top of the C heap,
+    # which malloc hands back to the system; a landscape's next block then
+    # faults them in again (2,000-4,000 more page faults and 10-25% more
+    # time per `probe landscape`, measured on glibc).
+    return np.ascontiguousarray(z.swapaxes(-1, -2))
 
 
 def forward(net: Network, theta: np.ndarray, X: np.ndarray):
-    """Logits (n x c) and pre-head embedding (n x e) for an input batch."""
-    z = embed(net, theta, X)
-    logits = _head(net, z)
+    """Logits (n, c) and pre-head embedding (n, e) of an (n, d) input batch
+    under a vector theta, or (G, n, c) and (G, n, e) under a (G, P) stack:
+    transposed views of the inference forward's feature-major arrays.
+    Raises ArithmeticError on a non-finite embedding or logit."""
+    z, _ = _embed_transposed(net, theta, X)
+    Whead = np.broadcast_to(net.Whead, (*z.shape[:-2], net.c, net.e))
+    logits = _product(Whead, z)
+    logits += net.bhead[:, None]
     if not all_finite(logits):
         raise ArithmeticError("non-finite logits")
-    return logits, z
+    return logits.swapaxes(-1, -2), z.swapaxes(-1, -2)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

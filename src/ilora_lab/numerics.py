@@ -12,12 +12,14 @@ K-row x and y. It holds the one orientation switch: when n < m it sums
 y (x) x and returns that n x m result's transpose as a C-contiguous copy.
 Products commute and every entry is still summed k-ascending from +0.0, so
 the bytes are the same, and the rows of the product it computes are never
-shorter than its columns. NaN payloads are the one exception: the switch
-multiplies b's entry by a's, and x86 keeps the first factor's payload when
-both are NaN, so a 2x1 NaN column times a 1x1 NaN of another payload
-carries b's payload where the unswitched order carries a's. Any NaN ends a
-run with exit 4, so no artifact holds one. It then takes one of three
-paths:
+shorter than its columns. NaN payloads are the one exception, where two
+NaNs of different payloads meet in a product: x86 keeps the first factor's
+payload, and the switch multiplies b's entry by a's, so a 2x1 NaN column
+times a 1x1 NaN carries b's payload where the unswitched order carries
+a's. numpy's vector loops keep the second factor's payload in some
+positions too: on numpy 2.4.6 a 3x1 NaN column times a 1x3 NaN row,
+unswitched, carries b's payload in entry (2, 2) alone. Any NaN ends a run
+with exit 4, so no artifact holds one. It then takes one of three paths:
 
 - the vector path: small products (K*m*n <= _VECTOR_MAX_ELEMS, output not
   1x1) build a C-contiguous array of the K x rows x cols products and sum

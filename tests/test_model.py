@@ -6,9 +6,11 @@ import pytest
 from ilora_lab import (Batch, RngState, embed, finite_diff_grad, forward,
                        gaussian_fill, init_params, loss_and_grad,
                        param_length, predict_accuracy)
-from ilora_lab.model import (backbone_from_vector, backbone_vector,
-                              init_backbone, join_params, split_params,
-                              softmax)
+from ilora_lab import numerics
+from ilora_lab.model import (_effective_weights, _embed_cached, _head,
+                             accuracy, backbone_from_vector, backbone_vector,
+                             init_backbone, join_params, split_params,
+                             softmax)
 
 from conftest import make_batch, make_tiny_net, random_theta
 
@@ -351,6 +353,88 @@ class TestEmbed:
         for stack in (thetas[:1], thetas):
             with pytest.raises(ValueError):
                 embed(net, stack, np.zeros((2, net.d + 1)))
+
+
+def training_forward(net, theta, X):
+    """Logits and embedding of the training forward, `_embed_cached` then
+    `_head`, under a vector theta."""
+    W1eff, W2eff = _effective_weights(net, *split_params(net, theta))
+    z = _embed_cached(net, W1eff, W2eff, X)[0]
+    return _head(net, z), z
+
+
+def spy_switches(monkeypatch):
+    """The (x, y) shapes of every `_outer_sum` call that switches
+    orientation (y.shape[-1] < x.shape[-1]), its own recursion included."""
+    switched = []
+    real = numerics._outer_sum
+
+    def spy(x, y):
+        if y.shape[-1] < x.shape[-1]:
+            switched.append((x.shape, y.shape))
+        return real(x, y)
+
+    monkeypatch.setattr(numerics, "_outer_sum", spy)
+    return switched
+
+
+class TestInferenceForward:
+    """`embed` and `forward` run the feature-major inference forward. Its
+    bytes are the row-major training forward's, on both sides of each
+    layer's orientation switch, and a batch at least as long as the layers
+    are wide makes it switch nowhere."""
+
+    # one row, rows around hidden=32 (the first layer's switch) and an eval
+    # set's 256
+    @pytest.mark.parametrize("rows", [1, 31, 32, 33, 256])
+    @pytest.mark.parametrize("c", [4, 11])
+    def test_vector_and_stack_match_the_training_forward(self, rows, c):
+        net = make_tiny_net(d=16, h=32, e=16, c=c, rank=8)
+        X = gaussian_fill(RngState(rows), rows, net.d)
+        thetas = np.stack([random_theta(net, seed=s, std=0.3)
+                           for s in (1, 2, 3)])
+        want = [[a.tobytes() for a in training_forward(net, theta, X)]
+                for theta in thetas]
+        logits, z = forward(net, thetas[0], X)
+        assert logits.shape == (rows, c) and z.shape == (rows, net.e)
+        assert [logits.tobytes(), z.tobytes()] == want[0]
+        assert embed(net, thetas[0], X).tobytes() == want[0][1]
+        logits, z = forward(net, thetas, X)
+        embedded = embed(net, thetas, X)
+        assert logits.shape == (3, rows, c)
+        assert z.shape == embedded.shape == (3, rows, net.e)
+        for g, (want_logits, want_z) in enumerate(want):
+            assert logits[g].tobytes() == want_logits, g
+            assert z[g].tobytes() == embedded[g].tobytes() == want_z, g
+        y = np.arange(rows) % c
+        assert predict_accuracy(net, thetas[1], Batch(X, y)) == accuracy(
+            training_forward(net, thetas[1], X)[0], y)
+
+    # d >= h >= e: no effective-weight product switches either, so the
+    # spy sees every product of the call
+    @pytest.mark.parametrize("rows", [8, 40])
+    def test_a_2d_forward_of_rows_at_least_hidden_switches_nowhere(
+            self, monkeypatch, rows):
+        net = make_tiny_net(d=8, h=8, e=4, c=3)
+        X = gaussian_fill(RngState(rows), rows, net.d)
+        theta = random_theta(net, std=0.3)
+        switched = spy_switches(monkeypatch)
+        training_forward(net, theta, X)
+        assert switched  # the row-major forward does switch here
+        switched.clear()
+        forward(net, theta, X)
+        assert switched == []
+
+    @pytest.mark.parametrize("rows", [24, 64])
+    def test_a_stacked_embed_of_rows_at_least_g_hidden_switches_nowhere(
+            self, monkeypatch, rows):
+        net = make_tiny_net(d=8, h=8, e=4, c=3)
+        X = gaussian_fill(RngState(rows), rows, net.d)
+        thetas = np.stack([random_theta(net, seed=s, std=0.3)
+                           for s in (1, 2, 3)])
+        switched = spy_switches(monkeypatch)
+        embed(net, thetas, X)
+        assert switched == []
 
 
 def reference_adapter_grads(net, dW1, dW2, A1, B1, A2, B2):

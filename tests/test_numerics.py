@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -8,29 +10,34 @@ from ilora_lab.numerics import (_BLOCK_MAX_ELEMS, _FILL_CHUNK, _JUMP_ROWS,
                                 _states_after, stacked_matmul)
 
 
+def loop_sum(xs, ys):
+    """The sum over k of xs[k] * ys[k], k-ascending from 0.0, on Python
+    floats. A step whose two operands are both NaN calls the ufunc on
+    float64 scalars, which keeps the first operand's payload: CPython's
+    float operators keep either one, depending on whether the interpreter
+    has specialised the code. One NaN operand leaves no choice."""
+    s = 0.0
+    for x, y in zip(xs, ys):
+        p = x * y if x == x or y == y else np.multiply(x, y)
+        s = s + p if s == s or p == p else np.add(s, p)
+    return s
+
+
 def triple_loop_matmul(a, b):
-    """The naive product: each entry summed k-ascending from 0.0. It runs on
-    Python floats, the same IEEE doubles as the float64 entries."""
-    m, _ = a.shape
-    _, n = b.shape
+    """The naive product: each entry a `loop_sum`, a's entry the first
+    factor and the running sum the first addend."""
     rows = np.asarray(a, dtype=np.float64).tolist()
     cols = np.asarray(b, dtype=np.float64).T.tolist()
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            s = 0.0
-            for x, y in zip(rows[i], cols[j]):
-                s += x * y
-            out[i, j] = s
+    out = np.zeros((len(rows), len(cols)))
+    for i, row in enumerate(rows):
+        for j, col in enumerate(cols):
+            out[i, j] = loop_sum(row, col)
     return out
 
 
 def loop_entry(a, b, i, j):
     """Entry (i, j) of the triple loop."""
-    s = 0.0
-    for kk in range(a.shape[1]):
-        s += a[i, kk] * b[kk, j]
-    return s
+    return loop_sum(a[i].tolist(), b[:, j].tolist())
 
 
 def signed_zeros(rng, x, frac=0.2):
@@ -226,6 +233,17 @@ def nan(payload, negative=False):
     return np.array(word, dtype=np.uint64).view(np.float64)[()]
 
 
+def test_the_loop_keeps_the_first_nan_on_every_call():
+    # products and sums of two NaNs: CPython's `*` on Python floats keeps
+    # the second payload until the interpreter specialises the code, and
+    # the first after; a fresh copy of loop_sum's code starts unspecialised
+    fresh = types.FunctionType(loop_sum.__code__.replace(), globals())
+    xs = [float(nan(1)), float(nan(3))]
+    ys = [float(nan(2, True)), float(nan(4))]
+    for _ in range(20):
+        assert (bits(fresh(xs, ys)) == bits(nan(1))).all()
+
+
 class TestMatmulBlocked:
     """A product with a small output and a long K is summed a block of k's
     at a time: the block's products in one array, the running total added
@@ -303,6 +321,15 @@ class TestMatmulBlocked:
         assert {int(nan(1).view(np.uint64)),
                 int(nan(4, True).view(np.uint64))} < payloads
         assert (bits(out) == bits(want)).all()
+        # two NaNs in one product, unswitched (n >= m): a's payload
+        # survives; the switch, and numpy's loops in some positions of
+        # larger shapes, are the numerics docstring's exception
+        a, b = np.array([[nan(6)]]), np.array([[nan(7), nan(8, True)]])
+        with np.errstate(invalid="ignore"):
+            out = matmul(a, b)
+            want = triple_loop_matmul(a, b)
+        assert (bits(out) == bits(want)).all()
+        assert (bits(out) == int(nan(6).view(np.uint64))).all()
 
     # a return, and an error in the second block
     @pytest.mark.parametrize("fail_at", [0, 2])

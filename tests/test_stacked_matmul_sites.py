@@ -2,9 +2,10 @@
 
 `model._product` is the one place that picks `numerics.stacked_matmul` (the
 G products of two (G, ...) stacks) over the 2-D `matmul`, by the operand's
-rank; the forward and the effective weights call it for a vector and a
-stack alike. This test pins that one caller, so a second stacked forward
-fails here instead of growing beside the training one.
+rank; the inference forward, its head, the effective weights and the
+backward call it for a vector and a stack alike. This test pins that one
+caller, so a stacked product called anywhere else fails here instead of
+growing beside `_product`.
 """
 
 from collections import Counter

@@ -19,9 +19,9 @@ WRAPPERS = {"sum", "mean", "max", "min", "all", "any", "prod", "amax",
 STEP_PATH = {
     "numerics.py": ("matmul", "_outer_sum", "all_finite"),
     "model.py": ("softmax", "_head", "_head_loss", "_embed_cached",
-                 "_product", "_effective_weights", "_hidden_backward",
-                 "_adapter_grads", "_check_finite", "embed", "forward",
-                 "loss_and_grad", "per_sample_grads",
+                 "_embed_transposed", "_product", "_effective_weights",
+                 "_hidden_backward", "_adapter_grads", "_check_finite",
+                 "embed", "forward", "loss_and_grad", "per_sample_grads",
                  "backbone_loss_and_grad"),
     "optim.py": ("adam_step", "sgd_step", "lr_at", "_stepped", "ewc_fisher"),
 }
