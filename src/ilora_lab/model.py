@@ -103,8 +103,8 @@ class Batch:
                    np.concatenate([b.y for b in batches]))
 
     def draw(self, count: int, rng: RngState) -> Batch:
-        """`count` rows uniform with replacement, one uniform per row: row
-        int(u * n), the row `next_below(n)` would pick."""
+        """`count` rows uniform with replacement, one uniform u per row:
+        row int(u * n)."""
         idx = (rng.uniforms(count) * self.n).astype(np.int64)
         return Batch(self.X[idx], self.y[idx])
 

@@ -75,6 +75,7 @@ gradients, logits and embeddings once per call instead, with ``all_finite``.
 
 RNG contract (xorshift64*, seeded through splitmix64):
 
+    state0 = splitmix64(seed), or its gamma if that is 0; 0 <= seed < 2^64
     state' = xorshift64*(state)
     u64    = (state' * 0x2545F4914F6CDD1D) mod 2^64
     f      = (u64 >> 11) * 2^-53          # uniform in [0, 1)
@@ -82,39 +83,30 @@ RNG contract (xorshift64*, seeded through splitmix64):
 Reference stream for seed=1, first five uniforms:
     0.29404672187536496, 0.8432913574055981, 0.37141301636381596,
     0.23114710925829274, 0.8590431711703592
-(regenerate with ``RngState(1).next_float()``).
+(regenerate with ``RngState(1).uniforms(5)``).
 
-Every multi-value draw reads ``RngState.uniforms``, a lookahead block of
-512 states and their uniforms, plus how many have been read:
+``RngState`` draws in bulk: ``uniforms(count)`` returns the next ``count``
+uniforms in a new array, which the caller may write into (``_box_muller``
+does). It serves them from a lookahead block of 512. xorshift is linear
+over GF(2), so the state i+1 steps after x is the xor, over the set bits b
+of x, of the state i+1 steps after ``1 << b``; those 64 x 512 states are
+one jump table (256 KB), built on first use, and a block is one xor
+reduction over it, from the last state of the block before. Its uniforms
+are ``(state' * MULT) >> 11`` on uint64 arrays (numpy wraps like
+``mod 2^64``), converted to float64 and scaled by 2^-53, exactly.
 
-- xorshift is linear over GF(2), so the state i+1 steps after x is the xor,
-  over the set bits b of x, of the state i+1 steps after ``1 << b``; those
-  64 x 512 states are one jump table (256 KB), built on first use, and a
-  block is one xor reduction over it. A block starts from the generator's
-  state, when there is no block or the last one is used up.
-- uniforms are ``(state' * MULT) >> 11`` on uint64 arrays (numpy wraps like
-  ``mod 2^64``), converted to float64 and scaled by 2^-53, exactly.
-- a call returns the next ``count`` uniforms in a new array, which the
-  caller may write into (``_box_muller`` does). Its values and final state
-  are those of ``count`` ``next_float`` calls, and ``int(u * n)`` on them
-  is ``next_below(n)``.
-
-``Batch.draw`` and replay sampling index with ``int(u * n)``. ``shuffled``,
-a Fisher-Yates shuffle, swaps entry i with entry ``i + int(u * (n - i))``.
-``gaussian_fill`` makes Box-Muller pairs, the bytes and final state of
-``gauss_pair`` called pair by pair. Its log, cos and sin are ``math``'s,
-mapped over Python floats: ``np.log`` rounds differently from ``math.log``
-on some inputs (6,986 of 2,000,000 uniforms on numpy 2.4.6), which would
-change the stream. sqrt and the products are correctly rounded in both and
-stay vectorised. The fill runs in chunks of 1,024 uniforms, so its
-temporaries stay under 100 KB whatever the matrix size.
-
-The generator's state is always the last state handed out, whichever
-method handed it out: ``uniforms`` sets it to the last lookahead state it
-read, and the scalar methods (``next_u64`` and, through it, ``next_float``,
-``next_below`` and ``gauss_pair``) step from it. A scalar draw drops the
-unread lookahead. Interleaving bulk and scalar draws therefore leaves the
-stream unchanged.
+Each consumer is a formula on consecutive uniforms u. ``Batch.draw`` and
+replay sampling index with ``int(u * n)``. ``shuffled``, a Fisher-Yates
+shuffle, swaps entry i with entry ``i + int(u * (n - i))``.
+``gaussian_fill`` makes Box-Muller pairs: (u1, u2) gives
+``sqrt(-2 log u1) * (cos, sin)(2 pi u2)``, a zero u1 taken as 2^-53. Its
+log, cos and sin are ``math``'s, mapped over Python floats: ``np.log``
+rounds differently from ``math.log`` on some inputs (6,986 of 2,000,000
+uniforms on numpy 2.4.6), which would change the stream. sqrt and the
+products are correctly rounded in both and stay vectorised. The fill runs
+in chunks of 1,024 uniforms, so its temporaries stay under 100 KB whatever
+the matrix size. ``tests/scalar_rng.py`` steps the same generator one draw
+at a time; the tests compare every consumer with it.
 """
 
 from __future__ import annotations
@@ -141,45 +133,49 @@ def _splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
+def _seed_state(seed: int) -> int:
+    """The state the stream of ``seed`` starts from, for an integer seed in
+    [0, 2^64) (numpy integers too); any other seed raises ValueError rather
+    than aliasing one in range."""
+    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) \
+            and 0 <= int(seed) <= _MASK64:
+        return _splitmix64(int(seed)) or _SPLITMIX_GAMMA
+    raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
 class RngState:
-    """xorshift64* generator; single-owner mutable, no platform entropy."""
+    """xorshift64* generator drawn in bulk; single-owner mutable, no
+    platform entropy."""
 
     def __init__(self, seed: int):
-        state = _splitmix64(seed & _MASK64)
-        if state == 0:
-            state = _SPLITMIX_GAMMA
-        # The last state handed out, by a scalar or a bulk draw.
-        self._state = state
-        # uniforms() lookahead: a block of states, their uniforms and how
-        # many have been read (the last one read is _state); None when
-        # there is none.
-        self._ahead: np.ndarray | None = None
-        self._ahead_u: np.ndarray | None = None
-        self._read = 0
+        # The lookahead: a block's uniforms, how many have been read, and
+        # the state the next block starts from (the block's last state).
+        # The first call makes the first block.
+        self._block: np.ndarray | None = None
+        self._read = _JUMP_ROWS
+        self._next = _seed_state(seed)
 
-    def next_u64(self) -> int:
-        self._ahead = None
-        x = self._state
-        x ^= (x >> 12)
-        x ^= (x << 25) & _MASK64
-        x ^= (x >> 27)
-        self._state = x
-        return (x * _XORSHIFT_MULT) & _MASK64
-
-    def next_float(self) -> float:
-        """Uniform in [0, 1), 53 bits of mantissa."""
-        return (self.next_u64() >> 11) * 2.0 ** -53
-
-    def next_below(self, n: int) -> int:
-        """Uniform integer in [0, n). One uniform draw per call."""
-        if n <= 0:
-            raise ValueError("next_below requires n >= 1")
-        return int(self.next_float() * n)
+    def uniforms(self, count: int) -> np.ndarray:
+        """The stream's next ``count`` uniforms as a new float64 array,
+        served from the lookahead block."""
+        out = np.empty(count)
+        done = 0
+        while done < count:
+            if self._read == _JUMP_ROWS:
+                states = _states_after(self._next)
+                self._next = int(states[-1])
+                self._block = _uniforms_of(states)
+                self._read = 0
+            k = min(count - done, _JUMP_ROWS - self._read)
+            out[done:done + k] = self._block[self._read:self._read + k]
+            self._read += k
+            done += k
+        return out
 
     def shuffled(self, n: int, k: int) -> list[int]:
         """The first k entries of a Fisher-Yates shuffle of range(n): entry
-        i swaps with entry i + next_below(n - i), for i < k. Consumes
-        exactly k uniforms, read through ``uniforms``."""
+        i swaps with entry i + int(u * (n - i)), for i < k and the next k
+        uniforms u."""
         if not 0 <= k <= n:
             raise ValueError(f"cannot choose {k} from {n}")
         idx = list(range(n))
@@ -192,34 +188,6 @@ class RngState:
         """k distinct indices from [0, n), ascending. Consumes exactly k draws."""
         return sorted(self.shuffled(n, k))
 
-    def gauss_pair(self) -> tuple[float, float]:
-        """One Box-Muller pair; consumes exactly two uniforms."""
-        u1 = self.next_float()
-        u2 = self.next_float()
-        if u1 == 0.0:
-            u1 = 2.0 ** -53
-        r = math.sqrt(-2.0 * math.log(u1))
-        a = 2.0 * math.pi * u2
-        return r * math.cos(a), r * math.sin(a)
-
-    def uniforms(self, count: int) -> np.ndarray:
-        """The next ``count`` uniforms as a new float64 array: the values
-        and final state of ``count`` ``next_float`` calls, served from the
-        lookahead block."""
-        out = np.empty(count)
-        done = 0
-        while done < count:
-            if self._ahead is None or self._read == _JUMP_ROWS:
-                self._ahead = _states_after(self._state)
-                self._ahead_u = _uniforms_of(self._ahead)
-                self._read = 0
-            k = min(count - done, _JUMP_ROWS - self._read)
-            out[done:done + k] = self._ahead_u[self._read:self._read + k]
-            self._read += k
-            done += k
-            self._state = int(self._ahead[self._read - 1])
-        return out
-
 
 def _states_after(x: int) -> np.ndarray:
     """The _JUMP_ROWS states that follow state x: the xor of the jump
@@ -229,7 +197,7 @@ def _states_after(x: int) -> np.ndarray:
 
 
 def _uniforms_of(states: np.ndarray) -> np.ndarray:
-    """``next_float``'s uniform for each raw state: (state' * MULT) mod 2^64
+    """The contract's uniform for each raw state: (state' * MULT) mod 2^64
     (uint64 wraps), its top 53 bits, times 2^-53; every step is exact."""
     u64 = states * np.uint64(_XORSHIFT_MULT)
     return (u64 >> 11).astype(np.float64) * 2.0 ** -53
@@ -356,10 +324,10 @@ _FILL_CHUNK = 2 * _JUMP_ROWS
 
 
 def _box_muller(u: np.ndarray) -> np.ndarray:
-    """Gaussians from an even number of consecutive uniforms, pair by pair
-    exactly as ``gauss_pair`` computes them; zero u1 values are replaced in
-    u itself. log, cos and sin are ``math``'s because numpy's do not always
-    round the same way."""
+    """Gaussians from an even number of consecutive uniforms, pair by pair:
+    (u1, u2) gives r cos a and r sin a, r = sqrt(-2 log u1), a = 2 pi u2.
+    Zero u1 values are replaced by 2^-53 in u itself. log, cos and sin are
+    ``math``'s because numpy's do not always round the same way."""
     u1 = u[0::2]
     u1[u1 == 0.0] = 2.0 ** -53
     half = len(u1)
@@ -377,8 +345,8 @@ def gaussian_fill(rng: RngState, rows: int, cols: int,
     """rows x cols matrix of i.i.d. Gaussians via Box-Muller.
 
     Consumes 2*ceil(rows*cols/2) uniform draws; the trailing value of an odd
-    request's final pair is discarded. Bit-identical to filling the matrix
-    pair by pair with ``gauss_pair``.
+    request's final pair is discarded. The matrix is filled row-major with
+    ``_box_muller``'s pairs.
     """
     if std < 0:
         raise ValueError("std must be >= 0")

@@ -52,9 +52,9 @@ class ReplayBuffer:
         if self.size == 0:
             raise ValueError("cannot sample from an empty buffer")
         if self.stratified:
-            # two uniforms per row, a store and then a row within it, as
-            # two next_below calls pick them; the union holds the non-empty
-            # stores back to back
+            # two uniforms per row, u1 picking a store and u2 a row in it,
+            # each as int(u * size); the union holds the non-empty stores
+            # back to back
             sizes = np.array([len(y) for _, y, _ in self.stores if len(y)])
             u = rng.uniforms(2 * batch_size)
             store = (u[0::2] * len(sizes)).astype(np.int64)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+# the scalar oracle's helpers assert; rewrite them for pytest's messages
+pytest.register_assert_rewrite("scalar_rng")
+
 from ilora_lab import Batch, Network, RngState, gaussian_fill
 
 
@@ -18,7 +21,7 @@ def make_tiny_net(seed=0, d=4, h=5, e=4, c=3, rank=2, alpha=4.0) -> Network:
 
 def make_batch(rng: RngState, n: int, d: int, c: int) -> Batch:
     X = gaussian_fill(rng, n, d, 0.0, 1.0)
-    y = np.array([rng.next_below(c) for _ in range(n)], dtype=np.int64)
+    y = (rng.uniforms(n) * c).astype(np.int64)
     return Batch(X, y)
 
 

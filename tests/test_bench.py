@@ -9,6 +9,9 @@ from ilora_lab import (ArchConfig, RngState, StrategyConfig,
 from ilora_lab.bench import _rotation_step
 from ilora_lab.model import backbone_vector
 
+import scalar_rng
+from scalar_rng import ScalarRng, assert_same_next
+
 
 def nearest_centroid_accuracy(train, ev, classes):
     """Independent separability oracle: classify eval rows by the nearest
@@ -79,14 +82,11 @@ class TestStreamConstruction:
                     assert got.y.tobytes() == ref.y.tobytes(), T
 
 
-def plane_by_plane_rotation(rng, d, angle_rad):
+def plane_by_plane_rotation(oracle, d, angle_rad):
     """The rotation step as d/2 plane rotations multiplied together, the
-    permutation drawn one next_below at a time: the reference the direct
-    block must reproduce byte for byte."""
-    perm = list(range(d))
-    for i in range(d):
-        j = i + rng.next_below(d - i)
-        perm[i], perm[j] = perm[j], perm[i]
+    permutation the scalar oracle's Fisher-Yates shuffle: the reference the
+    direct block must reproduce byte for byte."""
+    perm = scalar_rng.shuffled(oracle, d, d)
     c, s = math.cos(angle_rad), math.sin(angle_rad)
     Q = np.eye(d)
     for k in range(0, d - 1, 2):
@@ -107,11 +107,11 @@ class TestDrift:
         angle = math.radians(deg)
         for d in (1, 2, 3, 6, 16, 17, 64):
             for seed in range(30):
-                direct, ref = RngState(seed), RngState(seed)
+                direct, oracle = RngState(seed), ScalarRng(seed)
                 got = _rotation_step(direct, d, angle)
-                want = plane_by_plane_rotation(ref, d, angle)
+                want = plane_by_plane_rotation(oracle, d, angle)
                 assert got.tobytes() == want.tobytes(), (deg, d, seed)
-                assert direct.next_u64() == ref.next_u64(), (deg, d, seed)
+                assert_same_next(direct, oracle, deg, d, seed)
 
     def test_rotation_step_is_orthogonal(self):
         for seed in range(5):

@@ -20,12 +20,14 @@ from ilora_lab.artifacts import rebuild_environment
 from ilora_lab.cli import _strategy_config, main, validate_config
 from ilora_lab.numerics import _VECTOR_MAX_ELEMS
 
+from scalar_rng import ScalarRng
+
 
 def draw_config(seed: int, kind: str, stream: dict, arch: dict,
                 training: dict, strategy: dict | None = None) -> dict:
     """A config whose n_train, n_eval and batch size are odd numbers drawn
-    from RngState(seed), the given blocks merged over them."""
-    rng = RngState(seed)
+    from the scalar oracle at seed, the given blocks merged over them."""
+    rng = ScalarRng(seed)
     return {
         "seed": seed,
         "stream": {"n_train": 17 + 2 * rng.next_below(12),

@@ -1,16 +1,22 @@
-"""Where the package may read the RNG jump table.
+"""Where the package may read the RNG jump table, and how it may draw.
 
-Every multi-value draw reads ``RngState.uniforms``'s lookahead, whose
-blocks ``numerics._states_after`` makes from the jump table. This test pins
-that one reader, so a second walker over the table (a skip or a jump of its
-own) fails here instead of growing beside the lookahead.
+Every draw reads ``RngState.uniforms``'s lookahead, whose blocks
+``numerics._states_after`` makes from the jump table. These tests pin that
+one reader, so a second walker over the table (a skip or a jump of its own)
+fails here instead of growing beside the lookahead, and that one draw path,
+so a scalar draw (one value at a time, as the tests' oracle steps) does not
+come back beside the bulk one.
 """
 
 import ast
 from collections import Counter
 from pathlib import Path
 
+from ilora_lab import RngState
+
 from test_blas_sites import SRC
+
+SCALAR_DRAWS = ("next_u64", "next_float", "next_below", "gauss_pair")
 
 
 def name_sites(path: Path, name: str) -> Counter:
@@ -37,6 +43,19 @@ def test_only_states_after_reads_the_jump_table():
     for path in sorted(SRC.glob("*.py")):
         found += name_sites(path, "_jump_table")
     assert found == Counter({("numerics.py", "_states_after"): 1})
+
+
+def test_nothing_in_src_draws_one_value_at_a_time():
+    for name in SCALAR_DRAWS:
+        found = Counter()
+        for path in sorted(SRC.glob("*.py")):
+            found += name_sites(path, name)
+        assert found == Counter(), name
+
+
+def test_rng_state_draws_only_in_bulk():
+    public = {name for name in vars(RngState) if not name.startswith("_")}
+    assert public == {"uniforms", "shuffled", "choose_without_replacement"}
 
 
 def test_the_scanner_sees_each_form(tmp_path):

@@ -13,6 +13,7 @@ from ilora_lab.model import (_effective_weights, _embed_cached, _head,
                              softmax)
 
 from conftest import make_batch, make_tiny_net, random_theta
+from scalar_rng import ScalarRng, assert_same_next, gauss_fill
 
 
 def backbone_only_forward(net, X):
@@ -35,26 +36,26 @@ class TestParamLayout:
     backbone, split by `backbone_from_vector`."""
 
     # layout: (splitter, length at make_tiny_net()'s d=4, h=5, e=4, c=3,
-    # rank=2 written out, fresh vector, the same from the reference draws)
+    # rank=2 written out, fresh vector, the same from the scalar oracle)
     LAYOUTS = {
         "adapter": (split_params, 2 * 4 + 5 * 2 + 2 * 5 + 4 * 2, init_params,
-                    lambda net, rng: join_params(
-                        gaussian_fill(rng, net.rank, net.d, 0.0, 0.02),
+                    lambda net, oracle: join_params(
+                        gauss_fill(oracle, net.rank, net.d, 0.0, 0.02),
                         np.zeros((net.h, net.rank)),
-                        gaussian_fill(rng, net.rank, net.h, 0.0, 0.02),
+                        gauss_fill(oracle, net.rank, net.h, 0.0, 0.02),
                         np.zeros((net.e, net.rank)))),
         "backbone": (backbone_arrays, 5 * 4 + 5 + 4 * 5 + 4 + 3 * 4 + 3,
                      lambda net, rng: init_backbone(rng, net.d, net.h,
                                                     net.e, net.c),
-                     lambda net, rng: join_params(
-                         gaussian_fill(rng, net.h, net.d, 0.0,
-                                       1.0 / math.sqrt(net.d)),
+                     lambda net, oracle: join_params(
+                         gauss_fill(oracle, net.h, net.d, 0.0,
+                                    1.0 / math.sqrt(net.d)),
                          np.zeros(net.h),
-                         gaussian_fill(rng, net.e, net.h, 0.0,
-                                       1.0 / math.sqrt(net.h)),
+                         gauss_fill(oracle, net.e, net.h, 0.0,
+                                    1.0 / math.sqrt(net.h)),
                          np.zeros(net.e),
-                         gaussian_fill(rng, net.c, net.e, 0.0,
-                                       1.0 / math.sqrt(net.e)),
+                         gauss_fill(oracle, net.c, net.e, 0.0,
+                                    1.0 / math.sqrt(net.e)),
                          np.zeros(net.c))),
     }
 
@@ -89,10 +90,10 @@ class TestParamLayout:
     def test_init_draws_in_order(self):
         net = make_tiny_net(d=6, h=7, e=5, c=3, rank=3)
         for layout, (_, _, fresh, reference) in self.LAYOUTS.items():
-            rng, ref_rng = RngState(11), RngState(11)
+            rng, oracle = RngState(11), ScalarRng(11)
             assert fresh(net, rng).tobytes() == \
-                reference(net, ref_rng).tobytes(), layout
-            assert rng.next_u64() == ref_rng.next_u64(), layout
+                reference(net, oracle).tobytes(), layout
+            assert_same_next(rng, oracle, layout)
 
     def test_wrong_length_rejected(self):
         net = make_tiny_net()

@@ -3,11 +3,14 @@ import types
 import numpy as np
 import pytest
 
-from ilora_lab import (Batch, RngState, finite_diff_grad, gaussian_fill,
-                       matmul)
+from ilora_lab import RngState, finite_diff_grad, gaussian_fill, matmul
 from ilora_lab.numerics import (_BLOCK_MAX_ELEMS, _FILL_CHUNK, _JUMP_ROWS,
                                 _VECTOR_MAX_ELEMS, _box_muller,
                                 _states_after, stacked_matmul)
+
+import scalar_rng
+from conftest import make_batch
+from scalar_rng import ScalarRng, assert_same_next
 
 
 def loop_sum(xs, ys):
@@ -572,25 +575,38 @@ class TestMatmul:
 
 class TestRng:
     def test_stream_reproducible(self):
-        a = RngState(42)
-        b = RngState(42)
-        assert [a.next_u64() for _ in range(1000)] == \
-               [b.next_u64() for _ in range(1000)]
+        assert RngState(42).uniforms(1000).tolist() == \
+               RngState(42).uniforms(1000).tolist()
 
     def test_documented_reference_stream(self):
-        r = RngState(1)
-        assert [r.next_float() for _ in range(5)] == [
-            0.29404672187536496, 0.8432913574055981, 0.37141301636381596,
-            0.23114710925829274, 0.8590431711703592]
+        want = [0.29404672187536496, 0.8432913574055981, 0.37141301636381596,
+                0.23114710925829274, 0.8590431711703592]
+        assert RngState(1).uniforms(5).tolist() == want
+        assert ScalarRng(1).floats(5) == want
 
     def test_different_seeds_differ(self):
-        assert RngState(0).next_u64() != RngState(1).next_u64()
+        assert RngState(0).uniforms(1)[0] != RngState(1).uniforms(1)[0]
 
     def test_next_below_range(self):
-        rng = RngState(5)
-        draws = [rng.next_below(7) for _ in range(500)]
-        assert set(draws) <= set(range(7))
-        assert len(set(draws)) == 7
+        draws = (RngState(5).uniforms(500) * 7).astype(np.int64).tolist()
+        oracle = ScalarRng(5)
+        assert draws == [oracle.next_below(7) for _ in range(500)]
+        assert set(draws) == set(range(7))
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 5, -2 ** 64,
+                                      np.int64(-1), 1.0, 5.5, "3", True,
+                                      None])
+    def test_seed_outside_u64_or_not_an_integer_rejected(self, seed):
+        # -1 and 2**64 + 5 used to alias 2**64 - 1 and 5
+        with pytest.raises(ValueError, match="seed"):
+            RngState(seed)
+
+    @pytest.mark.parametrize("seed, same", [
+        (np.uint64(2 ** 64 - 1), 2 ** 64 - 1), (np.int32(5), 5),
+        (np.int64(0), 0)])
+    def test_numpy_integer_seeds_accepted(self, seed, same):
+        assert RngState(seed).uniforms(3).tolist() == \
+               RngState(same).uniforms(3).tolist()
 
     def test_choose_without_replacement(self):
         rng = RngState(9)
@@ -605,19 +621,23 @@ class TestRng:
         with pytest.raises(ValueError):
             RngState(0).shuffled(n, k)
 
-
-def scalar_shuffled(rng, n, k):
-    """The first k entries of a Fisher-Yates shuffle of range(n), one
-    next_below draw per entry: the reference ``shuffled`` must reproduce."""
-    idx = list(range(n))
-    for i in range(k):
-        j = i + rng.next_below(n - i)
-        idx[i], idx[j] = idx[j], idx[i]
-    return idx[:k]
+    @pytest.mark.parametrize("n, c", [(1, 2), (7, 3), (40, 11), (513, 11),
+                                      (600, 4)])
+    def test_make_batch_matches_the_oracle(self, n, c):
+        # the acceptance tests' batches: labels as int(u * c) on bulk
+        # uniforms are the oracle's next_below(c), byte for byte
+        for seed in (0, 2 ** 64 - 1):
+            bulk, oracle = RngState(seed), ScalarRng(seed)
+            got = make_batch(bulk, n, 3, c)
+            want = scalar_rng.make_batch(oracle, n, 3, c)
+            assert got.X.tobytes() == want.X.tobytes(), (n, c, seed)
+            assert got.y.dtype == want.y.dtype
+            assert got.y.tobytes() == want.y.tobytes(), (n, c, seed)
+            assert_same_next(bulk, oracle, n, c, seed)
 
 
 class TestShuffled:
-    """shuffled() through the uniforms lookahead against scalar draws."""
+    """shuffled() through the uniforms lookahead against the oracle."""
 
     B = _JUMP_ROWS
     CASES = [(0, 0), (1, 0), (1, 1), (7, 0), (7, 7), (20, 8), (B, B),
@@ -629,27 +649,27 @@ class TestShuffled:
         # B - 2 the shuffle crosses into the next block
         for seed in (0, 2 ** 64 - 1):
             for n, k in self.CASES:
-                bulk, scalar = RngState(seed), RngState(seed)
+                bulk, oracle = RngState(seed), ScalarRng(seed)
                 bulk.uniforms(already_read)
-                scalar.uniforms(already_read)
-                ref = scalar_shuffled(scalar, n, k)
+                oracle.floats(already_read)
+                ref = scalar_rng.shuffled(oracle, n, k)
                 assert bulk.shuffled(n, k) == ref, (seed, n, k)
-                assert bulk.next_u64() == scalar.next_u64(), (seed, n, k)
+                assert_same_next(bulk, oracle, seed, n, k)
 
     def test_choose_is_sorted_shuffle_with_the_same_state(self):
         for n, k in self.CASES:
-            bulk, scalar = RngState(n), RngState(n)
+            bulk, oracle = RngState(n), ScalarRng(n)
             bulk.uniforms(37)
-            scalar.uniforms(37)
+            oracle.floats(37)
             assert bulk.choose_without_replacement(n, k) == \
-                   sorted(scalar_shuffled(scalar, n, k)), (n, k)
-            assert bulk.next_u64() == scalar.next_u64(), (n, k)
+                   sorted(scalar_rng.shuffled(oracle, n, k)), (n, k)
+            assert_same_next(bulk, oracle, n, k)
 
     def test_k_zero_draws_nothing(self):
         for n in (0, 1, 9):
             rng = RngState(3)
             assert rng.shuffled(n, 0) == []
-            assert rng.next_u64() == RngState(3).next_u64()
+            assert_same_next(rng, ScalarRng(3), n)
 
 
 class TestGaussianFill:
@@ -672,20 +692,8 @@ class TestGaussianFill:
             gaussian_fill(RngState(0), 2, 2, std=-1.0)
 
 
-def gauss_pair_fill(rng, rows, cols, mean=0.0, std=1.0):
-    """The fill done pair by pair through gauss_pair: the reference the bulk
-    path must reproduce byte for byte."""
-    n = rows * cols
-    vals = np.empty(n)
-    for i in range(0, n - 1, 2):
-        vals[i], vals[i + 1] = rng.gauss_pair()
-    if n % 2 == 1:
-        vals[n - 1], _ = rng.gauss_pair()
-    return (mean + std * vals).reshape(rows, cols)
-
-
 class TestBulkGaussianFill:
-    """gaussian_fill's jump-table path against the scalar generator."""
+    """gaussian_fill's jump-table path against the oracle's gauss_pair."""
 
     SEEDS = (0, 1, 2 ** 63, 2 ** 64 - 1)
     B = _JUMP_ROWS
@@ -697,33 +705,33 @@ class TestBulkGaussianFill:
                   (1, _FILL_CHUNK - 1), (3, _FILL_CHUNK + 1)]
         for seed in self.SEEDS:
             for rows, cols in shapes:
-                bulk, scalar = RngState(seed), RngState(seed)
+                bulk, oracle = RngState(seed), ScalarRng(seed)
                 got = gaussian_fill(bulk, rows, cols, 0.25, 1.5)
-                want = gauss_pair_fill(scalar, rows, cols, 0.25, 1.5)
+                want = scalar_rng.gauss_fill(oracle, rows, cols, 0.25, 1.5)
                 assert got.shape == (rows, cols)
                 assert got.tobytes() == want.tobytes(), (seed, rows, cols)
-                assert bulk.next_u64() == scalar.next_u64(), (seed, rows, cols)
+                assert_same_next(bulk, oracle, seed, rows, cols)
 
     def test_consecutive_fills_stay_on_the_stream(self):
-        bulk, scalar = RngState(3), RngState(3)
+        bulk, oracle = RngState(3), ScalarRng(3)
         for rows, cols in ((5, 3), (1, 1), (64, 16), (2, 2)):
             assert gaussian_fill(bulk, rows, cols).tobytes() == \
-                   gauss_pair_fill(scalar, rows, cols).tobytes()
-        assert bulk.next_float() == scalar.next_float()
+                   scalar_rng.gauss_fill(oracle, rows, cols).tobytes()
+        assert_same_next(bulk, oracle)
 
     def test_zero_uniform_is_replaced_as_in_gauss_pair(self):
         u = np.array([0.0, 0.6180339887498949])
-        rng = RngState(0)
+        oracle = ScalarRng(0)
         draws = iter(u.tolist())
-        rng.next_float = lambda: next(draws)
-        want = np.array(rng.gauss_pair())
+        oracle.next_float = lambda: next(draws)
+        want = np.array(oracle.gauss_pair())
         got = _box_muller(u.copy())
         assert np.isfinite(got).all()
         assert got.tobytes() == want.tobytes()
 
 
 class TestBulkUniforms:
-    """uniforms() through its lookahead block against scalar draws."""
+    """uniforms() through its lookahead block against the oracle."""
 
     B = _JUMP_ROWS
 
@@ -732,91 +740,44 @@ class TestBulkUniforms:
         B = self.B
         for counts in ((16,) * 70, (1, B - 1, 1), (B + 1, 2 * B - 3, 5),
                        (3 * B + 7,), (0, 9, 0)):
-            bulk, scalar = RngState(n), RngState(n)
+            bulk, oracle = RngState(n), ScalarRng(n)
             for count in counts:
                 got = (bulk.uniforms(count) * n).astype(np.int64)
-                want = [scalar.next_below(n) for _ in range(count)]
+                want = [oracle.next_below(n) for _ in range(count)]
                 assert got.tolist() == want, (n, count)
-            assert bulk.next_u64() == scalar.next_u64(), (n, counts)
+            assert_same_next(bulk, oracle, n, counts)
 
     @pytest.mark.parametrize("x", [1, 1 << 63, 2 ** 64 - 1,
                                    0x5555555555555555])
     def test_block_is_the_next_states_for_any_bits(self, x):
-        rng = RngState(0)
-        rng._state = x
+        oracle = ScalarRng.from_state(x)
         want = []
         for _ in range(self.B):
-            rng.next_u64()
-            want.append(rng._state)
+            oracle.next_u64()
+            want.append(oracle.state)
         assert _states_after(x).tolist() == want
 
     def test_values_are_next_float(self):
-        bulk, scalar = RngState(1), RngState(1)
-        got = bulk.uniforms(2 * self.B + 3)
+        got = RngState(1).uniforms(2 * self.B + 3)
         assert got.dtype == np.float64
-        assert got.tolist() == [scalar.next_float()
-                                for _ in range(2 * self.B + 3)]
-
-    def test_other_consumers_go_on_from_a_partly_read_block(self):
-        # each consumer runs with part of a lookahead block read and the
-        # rest unread; the stream must go on from the last value read
-        consumers = [
-            lambda r: gaussian_fill(r, 3, 5).tobytes(),
-            lambda r: r.next_u64(),
-            lambda r: r.next_below(9),
-            lambda r: r.choose_without_replacement(30, 7),
-            lambda r: r.gauss_pair(),
-        ]
-        bulk, scalar = RngState(12), RngState(12)
-        for i, consume in enumerate(consumers):
-            count = 100 + 211 * i  # ends at varying points of a block
-            assert bulk.uniforms(count).tolist() == \
-                   [scalar.next_float() for _ in range(count)], i
-            assert consume(bulk) == consume(scalar), i
-        assert bulk.uniforms(5).tolist() == \
-               [scalar.next_float() for _ in range(5)]
-        assert bulk.next_u64() == scalar.next_u64()
-
-    @staticmethod
-    def stepped_state(seed, steps):
-        """The state of a scalar generator after ``steps`` draws."""
-        rng = RngState(seed)
-        for _ in range(steps):
-            rng.next_u64()
-        return rng._state
-
-    # from a fresh generator and from a partly read block
-    @pytest.mark.parametrize("before", [0, 100])
-    def test_state_is_the_last_state_handed_out(self, before):
-        batch = Batch(np.arange(20.0).reshape(10, 2), np.arange(10))
-        draws = [*((lambda r, k=k: r.uniforms(k), k)
-                   for k in (0, 1, 511, 512, 513, 1025)),
-                 (lambda r: r.shuffled(30, 7), 7),
-                 (lambda r: gaussian_fill(r, 3, 5), 16),
-                 (lambda r: batch.draw(13, r), 13)]
-        for i, (draw, steps) in enumerate(draws):
-            rng = RngState(3)
-            rng.uniforms(before)
-            draw(rng)
-            assert rng._state == self.stepped_state(3, before + steps), i
+        assert got.tolist() == ScalarRng(1).floats(2 * self.B + 3)
 
     def test_writing_a_returned_array_leaves_the_stream(self):
-        bulk, scalar = RngState(8), RngState(8)
+        bulk, oracle = RngState(8), ScalarRng(8)
         for count in (5, 5, self.B - 10, self.B, 3):
             bulk.uniforms(count)[:] = 0.0
             assert bulk.uniforms(2).tolist() == \
-                   [scalar.next_float() for _ in range(count + 2)][-2:], count
-        assert bulk.next_u64() == scalar.next_u64()
+                   oracle.floats(count + 2)[-2:], count
+        assert_same_next(bulk, oracle)
 
     def test_fill_then_bulk_then_fill(self):
-        bulk, scalar = RngState(4), RngState(4)
+        bulk, oracle = RngState(4), ScalarRng(4)
         assert gaussian_fill(bulk, 2, 3).tobytes() == \
-               gauss_pair_fill(scalar, 2, 3).tobytes()
-        assert bulk.uniforms(17).tolist() == \
-               [scalar.next_float() for _ in range(17)]
+               scalar_rng.gauss_fill(oracle, 2, 3).tobytes()
+        assert bulk.uniforms(17).tolist() == oracle.floats(17)
         assert gaussian_fill(bulk, 7, 9).tobytes() == \
-               gauss_pair_fill(scalar, 7, 9).tobytes()
-        assert bulk.next_u64() == scalar.next_u64()
+               scalar_rng.gauss_fill(oracle, 7, 9).tobytes()
+        assert_same_next(bulk, oracle)
 
 
 class TestFiniteDiff:

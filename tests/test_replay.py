@@ -4,6 +4,7 @@ import pytest
 from ilora_lab import Batch, ReplayBuffer, RngState
 
 from conftest import make_batch
+from scalar_rng import ScalarRng, assert_same_next
 
 
 class TestIngest:
@@ -106,12 +107,12 @@ class TestSample:
                 continue
             all_x = np.concatenate([X for X, _, _ in buf.stores if len(X)])
             all_y = np.concatenate([y for _, y, _ in buf.stores if len(y)])
-            ref_rng, rng = RngState(40 + tid), RngState(40 + tid)
-            idx = [ref_rng.next_below(len(all_y)) for _ in range(19)]
+            oracle, rng = ScalarRng(40 + tid), RngState(40 + tid)
+            idx = [oracle.next_below(len(all_y)) for _ in range(19)]
             got = buf.sample(19, rng)
             assert got.X.tobytes() == all_x[idx].tobytes()
             assert got.y.tobytes() == all_y[idx].tobytes()
-            assert rng.next_u64() == ref_rng.next_u64()
+            assert_same_next(rng, oracle, tid)
 
     def test_requested_size_and_determinism(self):
         data = make_batch(RngState(6), 50, 3, 4)
@@ -134,8 +135,8 @@ class TestSample:
         assert abs(batch.y.mean() - 0.5) < 0.05
 
     def test_stratified_matches_per_row_draws(self):
-        # a store, then a row within it, by one next_below each per row:
-        # the loop the bulk draw replaced, including an empty store
+        # a store, then a row within it, by one oracle next_below each per
+        # row: the loop the bulk draw replaced, including an empty store
         buf = ReplayBuffer(stratified=True)
         for tid, (rho, n) in enumerate([(0.3, 40), (0.0, 25), (0.5, 33),
                                         (1.0, 7)], start=1):
@@ -144,12 +145,12 @@ class TestSample:
                             RngState(60 + tid))
         nonempty = [(X, y) for X, y, _ in buf.stores if len(y)]
         assert len(nonempty) == 3
-        ref_rng, rng = RngState(70), RngState(70)
+        oracle, rng = ScalarRng(70), RngState(70)
         for count in (1, 19, 300, 600):
             rows_x, rows_y = [], []
             for _ in range(count):
-                X, y = nonempty[ref_rng.next_below(len(nonempty))]
-                j = ref_rng.next_below(len(y))
+                X, y = nonempty[oracle.next_below(len(nonempty))]
+                j = oracle.next_below(len(y))
                 rows_x.append(X[j])
                 rows_y.append(y[j])
             got = buf.sample(count, rng)
@@ -157,7 +158,7 @@ class TestSample:
             assert got.y.dtype == np.int64
             assert got.y.tobytes() == \
                    np.array(rows_y, dtype=np.int64).tobytes()
-        assert rng.next_u64() == ref_rng.next_u64()
+        assert_same_next(rng, oracle)
 
     def test_stratified_skips_empty_stores(self):
         data = make_batch(RngState(12), 20, 2, 2)

@@ -165,8 +165,7 @@ class TestIloraStep:
         n = param_length(net)
         rng = RngState(9)
         X = gaussian_fill(rng, 40, net.d)
-        y = np.array([rng.next_below(net.c) for _ in range(40)],
-                     dtype=np.int64)
+        y = (rng.uniforms(40) * net.c).astype(np.int64)
         pool = Batch(X, y)
         buffer = ReplayBuffer(rho=0.5)
         buffer.ingest_task(pool, 1, rng)
@@ -188,8 +187,7 @@ class TestIloraStep:
         n = param_length(net)
         rng = RngState(11)
         pool = Batch(gaussian_fill(rng, 20, net.d),
-                     np.array([rng.next_below(net.c) for _ in range(20)],
-                              dtype=np.int64))
+                     (rng.uniforms(20) * net.c).astype(np.int64))
         buffer = ReplayBuffer(rho=1.0)
         buffer.ingest_task(pool, 1, rng)
         cfg = StrategyConfig(kind="ILORA", lambda_ema=0.5, update_frequency=3,
