@@ -3,7 +3,8 @@ import types
 import numpy as np
 import pytest
 
-from ilora_lab import RngState, finite_diff_grad, gaussian_fill, matmul
+from ilora_lab import (Batch, RngState, finite_diff_grad, gaussian_fill,
+                       matmul)
 from ilora_lab.numerics import (_BLOCK_MAX_ELEMS, _FILL_CHUNK, _JUMP_ROWS,
                                 _VECTOR_MAX_ELEMS, _box_muller,
                                 _states_after, stacked_matmul)
@@ -761,6 +762,46 @@ class TestBulkUniforms:
         got = RngState(1).uniforms(2 * self.B + 3)
         assert got.dtype == np.float64
         assert got.tolist() == ScalarRng(1).floats(2 * self.B + 3)
+
+    def test_other_consumers_go_on_from_a_partly_read_block(self):
+        # each consumer runs with part of a lookahead block read and the
+        # rest unread; the stream must go on from the last value read
+        batch = Batch(np.arange(20.0).reshape(10, 2), np.arange(10))
+        consumers = [
+            (lambda r: gaussian_fill(r, 3, 5).tobytes(),
+             lambda o: scalar_rng.gauss_fill(o, 3, 5).tobytes()),
+            (lambda r: r.choose_without_replacement(30, 7),
+             lambda o: sorted(scalar_rng.shuffled(o, 30, 7))),
+            (lambda r: r.shuffled(30, 7),
+             lambda o: scalar_rng.shuffled(o, 30, 7)),
+            (lambda r: batch.draw(13, r).y.tolist(),
+             lambda o: [o.next_below(10) for _ in range(13)]),
+        ]
+        bulk, oracle = RngState(12), ScalarRng(12)
+        for i, (consume, oracle_consume) in enumerate(consumers):
+            count = 100 + 211 * i  # ends at varying points of a block
+            assert bulk.uniforms(count).tolist() == oracle.floats(count), i
+            assert consume(bulk) == oracle_consume(oracle), i
+        assert bulk.uniforms(5).tolist() == oracle.floats(5)
+        assert_same_next(bulk, oracle)
+
+    # from a fresh generator and from a partly read block
+    @pytest.mark.parametrize("before", [0, 100])
+    def test_state_is_the_last_state_handed_out(self, before):
+        # a draw of `steps` values leaves the generator at the oracle's
+        # state after exactly that many draws: the next uniforms match
+        batch = Batch(np.arange(20.0).reshape(10, 2), np.arange(10))
+        draws = [*((lambda r, k=k: r.uniforms(k), k)
+                   for k in (0, 1, 511, 512, 513, 1025)),
+                 (lambda r: r.shuffled(30, 7), 7),
+                 (lambda r: gaussian_fill(r, 3, 5), 16),
+                 (lambda r: batch.draw(13, r), 13)]
+        for i, (draw, steps) in enumerate(draws):
+            rng, oracle = RngState(3), ScalarRng(3)
+            rng.uniforms(before)
+            draw(rng)
+            oracle.floats(before + steps)
+            assert_same_next(rng, oracle, i)
 
     def test_writing_a_returned_array_leaves_the_stream(self):
         bulk, oracle = RngState(8), ScalarRng(8)
