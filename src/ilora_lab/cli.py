@@ -22,8 +22,9 @@ from .artifacts import (SavedRun, claim_run_dir,  # noqa: F401
                         rebuild_environment, save_checkpoint, task_spec,
                         write_csv, write_run)
 from .bench import ArchConfig, TaskSpec
-from .connectivity import (default_lambda_grid, embeddings, landscape_grid,
-                           linear_cka, sweep_lambda, weight_distance)
+from .connectivity import (LAMBDA_GRID_POINTS, default_lambda_grid,
+                           embeddings, landscape_grid, linear_cka,
+                           sweep_lambda, weight_distance)
 from .metrics import general_retention
 from .numerics import RngState
 from .strategies import StrategyConfig, run_sequence
@@ -268,7 +269,7 @@ def main(argv=None) -> int:
                              help="interpolation sweep between two checkpoints")
     p_sweep.add_argument("run_dir")
     p_sweep.add_argument("--transition", type=int, required=True)
-    p_sweep.add_argument("--points", type=int, default=21)
+    p_sweep.add_argument("--points", type=int, default=LAMBDA_GRID_POINTS)
     p_sweep.add_argument("--role", choices=["working", "longterm"],
                          default="working")
 

@@ -25,6 +25,8 @@ import numpy as np
 
 from .model import Batch, Network, accuracy, embed, forward
 
+LAMBDA_GRID_POINTS = 21  # a λ sweep's default points, endpoints included
+
 
 @dataclass
 class LambdaSweep:
@@ -42,7 +44,7 @@ class LandscapeGrid:
     values: np.ndarray
 
 
-def default_lambda_grid(points: int = 21) -> np.ndarray:
+def default_lambda_grid(points: int = LAMBDA_GRID_POINTS) -> np.ndarray:
     if points < 2:
         raise ValueError("grid needs at least the two endpoints")
     return np.linspace(0.0, 1.0, points)

@@ -16,18 +16,18 @@ Two forwards, each in the layout its consumers want:
   changes bits with the layout from 8 classes up.
 - inference, ``_embed_transposed``, is feature-major: h1.T = relu(W1eff
   X.T + b1), z.T = W2eff h1.T + b2 and, in ``forward``, logits.T = Whead
-  z.T + bhead as (features, rows), or (G, features, rows) under (G, ...)
-  stacks of effective weights. The rows are every product's output rows,
-  so a batch with at least as many rows as a layer has outputs (G*hidden
-  for a stack's first layer) switches orientation in no layer's
-  ``matmul``, and under a vector every layer reads its K-row input
+  z.T + bhead as (features, rows), or, for ``embed``, (G, features, rows)
+  under (G, ...) stacks of effective weights. The rows are every product's
+  output rows, so a batch with at least as many rows as a layer has
+  outputs (G*hidden for a stack's first layer) switches orientation in no
+  layer's ``matmul``, and under a vector every layer reads its K-row input
   contiguously; the row-major forward switches in each layer of such a
   batch and gathers each strided input. Slice g of a stack has the bytes
   of the pair W1eff[g], W2eff[g] (each entry of a product is its own sum).
 
 Both compute every entry as the same k-ascending sum, so the two give the
 same bytes; ``embed`` copies its result to row order, ``forward`` returns
-transposed views. ``_product`` alone picks the stacked kernel.
+transposed views. Only parameter stacks reach ``_product``'s stacked kernel.
 
 One chain rule, ``_adapter_grads``, takes weight gradients to the adapters
 (dA = s B.T dW, dB = s dW A.T, s = alpha/rank): a stack of one for each
@@ -233,16 +233,15 @@ def embed(net: Network, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def forward(net: Network, theta: np.ndarray, X: np.ndarray):
     """Logits (n, c) and pre-head embedding (n, e) of an (n, d) input batch
-    under a vector theta, or (G, n, c) and (G, n, e) under a (G, P) stack:
-    transposed views of the inference forward's feature-major arrays.
-    Raises ArithmeticError on a non-finite embedding or logit."""
+    under a vector theta: transposed views of the inference forward's
+    feature-major arrays. Raises ArithmeticError on a non-finite embedding
+    or logit."""
     z, _ = _embed_transposed(net, theta, X)
-    Whead = np.broadcast_to(net.Whead, (*z.shape[:-2], net.c, net.e))
-    logits = _product(Whead, z)
+    logits = matmul(net.Whead, z)
     logits += net.bhead[:, None]
     if not all_finite(logits):
         raise ArithmeticError("non-finite logits")
-    return logits.swapaxes(-1, -2), z.swapaxes(-1, -2)
+    return logits.T, z.T
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -263,11 +262,10 @@ def _head_loss(net: Network, z: np.ndarray, y: np.ndarray):
 
 
 def _hidden_backward(dz, h1, X, W2):
-    """Backprop dz (n x e) through W2, ReLU and layer 1: dW1, dW2, dpre1;
-    or, from (G, ...) stacks of all four, the G backward passes."""
-    dW2 = _product(dz.swapaxes(-1, -2), h1)
-    dpre1 = _product(dz, W2) * (h1 > 0.0)
-    return _product(dpre1.swapaxes(-1, -2), X), dW2, dpre1
+    """Backprop dz (n x e) through W2, ReLU and layer 1: dW1, dW2, dpre1."""
+    dW2 = matmul(dz.T, h1)
+    dpre1 = matmul(dz, W2) * (h1 > 0.0)
+    return matmul(dpre1.T, X), dW2, dpre1
 
 
 def _adapter_grads(net: Network, dW1, dW2, A1, B1, A2, B2) -> np.ndarray:
@@ -336,28 +334,26 @@ def per_sample_grads(net: Network, theta: np.ndarray, batch: Batch):
     Stacking rows changes no bits: every matmul entry is the same k-ascending
     sum, and the elementwise steps and softmax's per-row max and sum do not
     mix rows. A one-row mean and the division by n=1 change nothing, so they
-    are left out. The rows' weight gradients are `_hidden_backward` on a
-    stack of one-row batches, a slice for each row, and `_adapter_grads`
-    turns them into the rows' adapter gradients, as in `loss_and_grad`.
+    are left out. A one-row weight gradient is the K=1 product, an outer
+    product plus matmul's zero start 0.0; `_adapter_grads` takes the rows'
+    stacks to the adapters, as in `loss_and_grad`.
     """
     factors = split_params(net, theta)
     W1eff, W2eff = _effective_weights(net, *factors)
-    d, h, e = net.d, net.h, net.e
-    size = max(1, _PER_SAMPLE_ELEMS // (h * d + e * h + param_length(net)))
+    size = max(1, _PER_SAMPLE_ELEMS // (net.h * net.d + net.e * net.h
+                                        + param_length(net)))
     for start in range(0, batch.n, size):
         X = batch.X[start:start + size]
         y = batch.y[start:start + size]
-        n = len(y)
-        rows = np.arange(n)
+        rows = np.arange(len(y))
         z, h1 = _embed_cached(net, W1eff, W2eff, X)
         dlogits = softmax(_head(net, z))
         finite = all_finite(np.log(dlogits[rows, y]))
         dlogits[rows, y] -= 1.0
         dz = matmul(dlogits, net.Whead)
-        dW1, dW2, _ = _hidden_backward(
-            dz[:, None], h1[:, None], X[:, None],
-            np.broadcast_to(W2eff, (n, *W2eff.shape)))
-        g = _adapter_grads(net, dW1, dW2, *factors)
+        dpre1 = matmul(dz, W2eff) * (h1 > 0.0)
+        g = _adapter_grads(net, dpre1[:, :, None] * X[:, None] + 0.0,
+                           dz[:, :, None] * h1[:, None] + 0.0, *factors)
         if not (finite and all_finite(g)):
             raise ArithmeticError("non-finite loss or gradient")
         yield g

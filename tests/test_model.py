@@ -396,20 +396,24 @@ class TestInferenceForward:
                            for s in (1, 2, 3)])
         want = [[a.tobytes() for a in training_forward(net, theta, X)]
                 for theta in thetas]
-        logits, z = forward(net, thetas[0], X)
-        assert logits.shape == (rows, c) and z.shape == (rows, net.e)
-        assert [logits.tobytes(), z.tobytes()] == want[0]
+        for g, theta in enumerate(thetas):
+            logits, z = forward(net, theta, X)
+            assert logits.shape == (rows, c) and z.shape == (rows, net.e)
+            assert [logits.tobytes(), z.tobytes()] == want[g], g
         assert embed(net, thetas[0], X).tobytes() == want[0][1]
-        logits, z = forward(net, thetas, X)
         embedded = embed(net, thetas, X)
-        assert logits.shape == (3, rows, c)
-        assert z.shape == embedded.shape == (3, rows, net.e)
-        for g, (want_logits, want_z) in enumerate(want):
-            assert logits[g].tobytes() == want_logits, g
-            assert z[g].tobytes() == embedded[g].tobytes() == want_z, g
+        assert embedded.shape == (3, rows, net.e)
+        for g, (_, want_z) in enumerate(want):
+            assert embedded[g].tobytes() == want_z, g
         y = np.arange(rows) % c
         assert predict_accuracy(net, thetas[1], Batch(X, y)) == accuracy(
             training_forward(net, thetas[1], X)[0], y)
+
+    def test_forward_refuses_a_stack(self):
+        net = make_tiny_net()
+        thetas = np.stack([random_theta(net, seed=s) for s in (1, 2)])
+        with pytest.raises(ValueError):
+            forward(net, thetas, np.zeros((3, net.d)))
 
     # d >= h >= e: no effective-weight product switches either, so the
     # spy sees every product of the call
@@ -460,20 +464,28 @@ class TestAdapterGrads:
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("n", [1, 3])
     def test_rows_match_the_written_out_products(self, shape, n):
+        from ilora_lab import matmul
         from ilora_lab.model import (_adapter_grads, _effective_weights,
-                                     _embed_cached, _hidden_backward)
+                                     _embed_cached)
         net = make_tiny_net(**shape)
         factors = split_params(net, random_theta(net, std=0.3))
         W1eff, W2eff = _effective_weights(net, *factors)
         X = gaussian_fill(RngState(n), n, net.d)
         _, h1 = _embed_cached(net, W1eff, W2eff, X)
         dz = gaussian_fill(RngState(n + 1), n, net.e)
+        dpre1 = matmul(dz, W2eff) * (h1 > 0.0)
+        # each row's K=1 outer products, as per_sample_grads builds them:
+        # the bytes of that row's one-row matmul
+        dW1 = dpre1[:, :, None] * X[:, None] + 0.0
+        dW2 = dz[:, :, None] * h1[:, None] + 0.0
+        for i in range(n):
+            assert dW1[i].tobytes() == matmul(dpre1[i:i + 1].T,
+                                              X[i:i + 1]).tobytes()
+            assert dW2[i].tobytes() == matmul(dz[i:i + 1].T,
+                                              h1[i:i + 1]).tobytes()
         # the stacks per_sample_grads hands over, then views of the same
         # values that are not C-contiguous: every other slice of a doubled
         # stack, and each slice laid out column-major
-        dW1, dW2, _ = _hidden_backward(
-            dz[:, None], h1[:, None], X[:, None],
-            np.broadcast_to(W2eff, (n, *W2eff.shape)))
         stacks = [(dW1, dW2), (np.repeat(dW1, 2, axis=0)[::2],
                                np.repeat(dW2, 2, axis=0)[::2]),
                   (dW1.transpose(0, 2, 1).copy().transpose(0, 2, 1),
