@@ -6,7 +6,7 @@ from .bench import ArchConfig, TaskSpec, TaskStream, make_stream, pretrain_backb
 from .connectivity import (LambdaSweep, LandscapeGrid, default_lambda_grid,
                            interpolate, landscape_grid, linear_cka,
                            sweep_lambda, weight_distance)
-from .metrics import ResultMatrix, acc_t, bwt_t, general_retention
+from .metrics import ResultMatrix, acc_t, bwt_t
 from .model import (Batch, Network, embed, forward, init_params,
                     loss_and_grad, param_length, predict_accuracy)
 from .numerics import RngState, finite_diff_grad, gaussian_fill, matmul
@@ -20,7 +20,7 @@ __all__ = [
     "ArchConfig", "TaskSpec", "TaskStream", "make_stream", "pretrain_backbone",
     "LambdaSweep", "LandscapeGrid", "default_lambda_grid", "interpolate",
     "landscape_grid", "linear_cka", "sweep_lambda", "weight_distance",
-    "ResultMatrix", "acc_t", "bwt_t", "general_retention",
+    "ResultMatrix", "acc_t", "bwt_t",
     "Batch", "Network", "embed", "forward", "init_params", "loss_and_grad",
     "param_length", "predict_accuracy",
     "RngState", "finite_diff_grad", "gaussian_fill", "matmul",

@@ -7,7 +7,9 @@ results_matrix.csv   header ``after_task,eval_task,accuracy``; one row per
                      defined result-matrix entry. Every CSV prints numbers
                      with 17 significant digits, so reloads are bit-faithful.
 metrics.json         keys ``acc`` (per t), ``bwt`` (from t=2),
-                     ``general_retention``.
+                     ``general_retention``: the deployed accuracy on task
+                     1's eval set after the last task minus the untrained
+                     adapters' accuracy on it.
 Checkpoints          binary, little-endian: magic ``ILORA1``, u32 format
                      version, u64 value count, u32 task index (0 for
                      ``backbone.bin``), u64 seed, u8 role (0 working,
@@ -118,7 +120,7 @@ def claim_run_dir(out: Path) -> None:
 
 
 def write_run(out: Path, cfg: dict, net: Network, record: RunRecord,
-              gen_retention: float, evals: list[Batch]) -> None:
+              evals: list[Batch]) -> None:
     """Every file of a finished run, written into a hidden sibling of `out`
     that is then renamed to `out`: `out` holds a complete run or nothing."""
     seed = cfg["seed"]
@@ -134,14 +136,14 @@ def write_run(out: Path, cfg: dict, net: Network, record: RunRecord,
         save_checkpoint(tmp / "evals.bin", np.stack([ev.X for ev in evals]),
                         len(evals), seed, "evals")
         for role, thetas in (("working", record.checkpoints),
-                             ("longterm", record.slow_checkpoints or [])):
+                             ("longterm", record.slow_checkpoints)):
             for t, theta in enumerate(thetas, start=1):
                 save_checkpoint(tmp / f"task{t}_{role}.bin", theta, t, seed,
                                 role)
         write_json(tmp / "metrics.json", {
             "acc": [acc_t(R, t) for t in range(1, R.T + 1)],
             "bwt": [bwt_t(R, t) for t in range(2, R.T + 1)],
-            "general_retention": gen_retention,
+            "general_retention": record.general_retention,
         })
         tmp.rename(os.path.realpath(out))
     except BaseException:

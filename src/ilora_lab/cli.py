@@ -25,8 +25,7 @@ from .bench import ArchConfig, TaskSpec
 from .connectivity import (LAMBDA_GRID_POINTS, default_lambda_grid,
                            embeddings, landscape_grid, linear_cka,
                            sweep_lambda, weight_distance)
-from .metrics import general_retention
-from .numerics import RngState
+from .numerics import RngState, check_seed
 from .strategies import StrategyConfig, run_sequence
 
 EXIT_OK = 0
@@ -93,7 +92,7 @@ def validate_config(raw: dict) -> dict:
     out_dir = raw.get("out_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
-    cfg = {"seed": _check_seed(raw.get("seed", 0)),
+    cfg = {"seed": _build(check_seed, raw.get("seed", 0)),
            **{name: _merge_block(name, raw.get(name, {}), schema)
               for name, schema in SCHEMA.items()},
            "out_dir": out_dir}
@@ -106,13 +105,6 @@ def validate_config(raw: dict) -> dict:
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _check_seed(seed):
-    """The seed is stored as a u64 in every checkpoint header."""
-    if not _is_int(seed) or not 0 <= seed < 1 << 64:
-        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    return seed
 
 
 def _build(make, *args, block: str = "", **kwargs):
@@ -165,7 +157,7 @@ def cmd_run(config_path: str, seed_override: int | None = None,
             out_override: str | None = None) -> None:
     cfg = validate_config(read_json(config_path))
     if seed_override is not None:
-        cfg["seed"] = _check_seed(seed_override)
+        cfg["seed"] = _build(check_seed, seed_override)
     if out_override is not None:
         cfg["out_dir"] = out_override
     if not cfg["out_dir"]:
@@ -175,9 +167,7 @@ def cmd_run(config_path: str, seed_override: int | None = None,
     claim_run_dir(out)
     stream, net = rebuild_environment(cfg)
     record = run_sequence(strategy, stream.pairs, net, RngState(cfg["seed"]))
-    gen = general_retention(net, record.initial_theta, record.deployed,
-                            stream.anchor[1])
-    write_run(out, cfg, net, record, gen, stream.evals)
+    write_run(out, cfg, net, record, stream.evals)
 
 
 def _check_transition(t: int, cfg: dict) -> None:

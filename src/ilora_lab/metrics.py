@@ -1,10 +1,9 @@
-"""Result-matrix bookkeeping and the two scalar continual-learning metrics."""
+"""Result-matrix bookkeeping and the two scalar continual-learning metrics
+read from it."""
 
 from __future__ import annotations
 
 import numpy as np
-
-from .model import Batch, Network, predict_accuracy
 
 
 class ResultMatrix:
@@ -63,11 +62,3 @@ def bwt_t(R: ResultMatrix, t: int) -> float:
     if t > R.T:
         raise ValueError(f"t={t} out of range 2..{R.T}")
     return float(np.mean([R.get(t, j) - R.get(j, j) for j in range(1, t)]))
-
-
-def general_retention(net: Network, theta_before: np.ndarray,
-                      theta_after: np.ndarray, anchor_eval: Batch) -> float:
-    """Accuracy change on the held-out anchor task between two parameter
-    snapshots; negative values mean general knowledge was lost."""
-    return (predict_accuracy(net, theta_after, anchor_eval)
-            - predict_accuracy(net, theta_before, anchor_eval))

@@ -335,7 +335,9 @@ def per_sample_grads(net: Network, theta: np.ndarray, batch: Batch):
     sum, and the elementwise steps and softmax's per-row max and sum do not
     mix rows. A one-row mean and the division by n=1 change nothing, so they
     are left out. A one-row weight gradient is the K=1 product, an outer
-    product plus matmul's zero start 0.0; `_adapter_grads` takes the rows'
+    product; matmul's zero start +0.0 is left out too, since it only turns
+    a -0.0 into +0.0 and `_adapter_grads` sums every entry from +0.0, so
+    the sign of a zero changes no sum. `_adapter_grads` takes the rows'
     stacks to the adapters, as in `loss_and_grad`.
     """
     factors = split_params(net, theta)
@@ -352,8 +354,8 @@ def per_sample_grads(net: Network, theta: np.ndarray, batch: Batch):
         dlogits[rows, y] -= 1.0
         dz = matmul(dlogits, net.Whead)
         dpre1 = matmul(dz, W2eff) * (h1 > 0.0)
-        g = _adapter_grads(net, dpre1[:, :, None] * X[:, None] + 0.0,
-                           dz[:, :, None] * h1[:, None] + 0.0, *factors)
+        g = _adapter_grads(net, dpre1[:, :, None] * X[:, None],
+                           dz[:, :, None] * h1[:, None], *factors)
         if not (finite and all_finite(g)):
             raise ArithmeticError("non-finite loss or gradient")
         yield g

@@ -133,14 +133,19 @@ def _splitmix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
-def _seed_state(seed: int) -> int:
-    """The state the stream of ``seed`` starts from, for an integer seed in
-    [0, 2^64) (numpy integers too); any other seed raises ValueError rather
-    than aliasing one in range."""
+def check_seed(seed) -> int:
+    """``seed`` as an int, for an integer in [0, 2^64) (numpy integers too,
+    bools not); any other seed raises ValueError rather than aliasing one in
+    range. Checkpoint headers store the seed as a u64."""
     if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) \
             and 0 <= int(seed) <= _MASK64:
-        return _splitmix64(int(seed)) or _SPLITMIX_GAMMA
+        return int(seed)
     raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+
+
+def _seed_state(seed: int) -> int:
+    """The state the stream of ``seed`` starts from (see `check_seed`)."""
+    return _splitmix64(check_seed(seed)) or _SPLITMIX_GAMMA
 
 
 class RngState:

@@ -91,11 +91,14 @@ class DualMemoryState:
 
 @dataclass
 class RunRecord:
+    """What a run measured: the working (and, for ILORA, slow) checkpoint
+    after each task, empty for single-memory kinds; the result matrix; and
+    general retention, R[T][1] minus the untrained adapters' accuracy on
+    task 1's eval set."""
     checkpoints: list[np.ndarray]
-    slow_checkpoints: list[np.ndarray] | None
+    slow_checkpoints: list[np.ndarray]
     result_matrix: ResultMatrix
-    initial_theta: np.ndarray | None = None
-    deployed: np.ndarray | None = None  # deployed after the last task
+    general_retention: float
 
 
 def steps_per_task(n: int, config: StrategyConfig) -> int:
@@ -158,11 +161,15 @@ def run_sequence(config: StrategyConfig, stream: list[tuple[Batch, Batch]],
     """Full continual run: adapters initialized from rng, one training phase
     per task, result matrix rows filled with the deployed parameters after
     each. MTL trains one phase on the union of all tasks for the sum of their
-    step counts; its final parameters fill every row and checkpoint."""
+    step counts; its final parameters fill every row and checkpoint. General
+    retention is R[T][1] minus the untrained adapters' accuracy on task 1's
+    eval set, the anchor the backbone was pretrained on; each accuracy is
+    measured once."""
     T = len(stream)
     if T < 1:
         raise ValueError("stream must contain at least one task")
     theta0 = init_params(net, rng)
+    untrained = predict_accuracy(net, theta0, stream[0][1])
     ilora = config.kind == "ILORA"
     state = DualMemoryState(theta0.copy(), theta0.copy() if ilora else None)
     buffer = None
@@ -204,5 +211,4 @@ def run_sequence(config: StrategyConfig, stream: list[tuple[Batch, Batch]],
             for j in range(1, t + 1):
                 R.set(t, j, accs[j - 1])
 
-    return RunRecord(checkpoints, slow_checkpoints if ilora else None, R,
-                     theta0, deployed)
+    return RunRecord(checkpoints, slow_checkpoints, R, R.get(T, 1) - untrained)

@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import re
 import shutil
 import stat
 import warnings
@@ -83,6 +84,20 @@ class TestValidateConfig:
     def test_unknown_strategy_kind(self):
         with pytest.raises(ConfigError):
             validate_config({"strategy": {"kind": "LWF"}})
+
+    @pytest.mark.parametrize("config, message", [
+        ([], "config root must be an object"),
+        ({"arch": []}, "config block 'arch' must be an object"),
+    ], ids=["root", "block"])
+    def test_not_an_object_exit_2_before_writing(self, tmp_path, capsys,
+                                                  config, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            validate_config(config)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 class TestRunCommand:
@@ -881,6 +896,25 @@ class TestOutOfMemory:
 
 class TestCorruptCheckpoint:
     ROLE_BYTE = 30  # after magic, version, count, task index and seed
+    VERSION_BYTE = 6  # the u32 after the magic
+
+    def test_unknown_version_exit_2(self, seq_run, tmp_path, capsys):
+        run = copy_run(seq_run, tmp_path)
+        path = run / "task1_working.bin"
+        raw = bytearray(path.read_bytes())
+        assert raw[self.VERSION_BYTE] == 1
+        raw[self.VERSION_BYTE] = 2
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError,
+                           match="^unsupported checkpoint version 2$"):
+            load_checkpoint(path)
+        for argv, csv in ((["probe", str(run), "wd"], "wd.csv"),
+                          (["sweep-lambda", str(run), "--transition", "1"],
+                           "sweep_t1.csv")):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == \
+                "error: unsupported checkpoint version 2\n"
+            assert not (run / csv).exists()
 
     def test_unknown_role_exit_2(self, seq_run, tmp_path, capsys):
         run = copy_run(seq_run, tmp_path)

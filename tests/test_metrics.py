@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
 
-from ilora_lab import (Batch, ResultMatrix, RngState, acc_t, bwt_t, forward,
-                       gaussian_fill, general_retention, init_params,
-                       predict_accuracy)
+from ilora_lab import ResultMatrix, acc_t, bwt_t
 
 import reference_tables as ref
-from conftest import make_tiny_net, random_theta
 
 
 class TestResultMatrix:
@@ -87,23 +84,3 @@ class TestBwtT:
         R = ResultMatrix.from_rows(rows)
         assert abs(bwt_t(R, 8) - expected) <= 5e-4
 
-
-class TestGeneralRetention:
-    def test_identical_params_zero(self):
-        net = make_tiny_net()
-        theta = random_theta(net, seed=1)
-        X = gaussian_fill(RngState(2), 20, net.d)
-        ev = Batch(X, np.zeros(20, dtype=np.int64))
-        assert general_retention(net, theta, theta.copy(), ev) == 0.0
-
-    def test_matches_accuracy_difference(self):
-        net = make_tiny_net()
-        before = init_params(net, RngState(0))
-        after = random_theta(net, seed=9, std=0.5)
-        X = gaussian_fill(RngState(3), 30, net.d)
-        logits, _ = forward(net, before, X)
-        ev = Batch(X, np.argmax(logits, axis=1))
-        got = general_retention(net, before, after, ev)
-        expected = predict_accuracy(net, after, ev) - 1.0
-        assert got == pytest.approx(expected, abs=1e-15)
-        assert got <= 0.0

@@ -3,9 +3,10 @@ import pytest
 
 from ilora_lab import (AdamState, ArchConfig, Batch, DualMemoryState,
                        ReplayBuffer, RngState, StrategyConfig, TaskSpec,
-                       gaussian_fill, ilora_step, make_stream, param_length,
-                       predict_accuracy, pretrain_backbone, run_sequence)
-from ilora_lab.strategies import steps_per_task
+                       gaussian_fill, ilora_step, init_params, make_stream,
+                       param_length, predict_accuracy, pretrain_backbone,
+                       run_sequence)
+from ilora_lab.strategies import KINDS, steps_per_task
 
 from conftest import make_tiny_net
 
@@ -47,6 +48,26 @@ class TestRunShape:
         _, net = small_env(T=1)
         with pytest.raises(ValueError):
             run_sequence(StrategyConfig(), [], net, RngState(0))
+
+    @pytest.mark.parametrize("kind,deploy_slow", [
+        *((k, True) for k in KINDS), ("ILORA", False)])
+    def test_general_retention_reads_the_result_matrix(self, kind,
+                                                        deploy_slow):
+        # the reference is the old two-forward formula: the deployed vector's
+        # accuracy on the anchor's eval set minus the untrained adapters'
+        stream, net = small_env(seed=5, T=2)
+        record = run_sequence(StrategyConfig(kind=kind, epochs=1,
+                                             deploy_slow=deploy_slow),
+                              stream.pairs, net, RngState(5))
+        anchor = stream.anchor[1]
+        slow = kind == "ILORA" and deploy_slow
+        deployed = (record.slow_checkpoints if slow else record.checkpoints)[-1]
+        expected = (predict_accuracy(net, deployed, anchor)
+                    - predict_accuracy(net, init_params(net, RngState(5)),
+                                       anchor))
+        assert record.general_retention.hex() == expected.hex()
+        if kind != "ILORA":
+            assert record.slow_checkpoints == []
 
     @pytest.mark.parametrize("T", [1, 3])
     def test_ewc_estimates_no_fisher_after_the_last_task(self, monkeypatch,
@@ -135,8 +156,9 @@ class TestReductions:
         record = run_sequence(StrategyConfig(kind="ILORA", epochs=2,
                                              lambda_ema=1.0),
                               stream.pairs, net, RngState(7))
-        assert np.array_equal(record.slow_checkpoints[0], record.initial_theta)
-        assert np.array_equal(record.slow_checkpoints[1], record.initial_theta)
+        theta0 = init_params(net, RngState(7))
+        assert np.array_equal(record.slow_checkpoints[0], theta0)
+        assert np.array_equal(record.slow_checkpoints[1], theta0)
 
 
 class TestBudgetParity:
