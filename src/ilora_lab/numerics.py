@@ -11,64 +11,47 @@ row k of b: ``_outer_sum(a.T, b)``, the sum over k of x[k] (x) y[k] for
 K-row x and y. It holds the one orientation switch: when n < m it sums
 y (x) x and returns that n x m result's transpose as a C-contiguous copy.
 Products commute and every entry is still summed k-ascending from +0.0, so
-the bytes are the same, and the rows of the product it computes are never
-shorter than its columns. NaN payloads are the one exception, where two
-NaNs of different payloads meet in a product: x86 keeps the first factor's
-payload, and the switch multiplies b's entry by a's, so a 2x1 NaN column
-times a 1x1 NaN carries b's payload where the unswitched order carries
-a's. numpy's vector loops keep the second factor's payload in some
-positions too: on numpy 2.4.6 a 3x1 NaN column times a 1x3 NaN row,
-unswitched, carries b's payload in entry (2, 2) alone. Any NaN ends a run
-with exit 4, so no artifact holds one. It then takes one of three paths:
+the bytes are the same, and the product it computes is never narrower than
+it is tall: n >= 2 for every output but a 1x1 one.
 
-- the vector path: small products (K*m*n <= _VECTOR_MAX_ELEMS, output not
-  1x1) build a C-contiguous array of the K x rows x cols products and sum
-  it over its outer axis, which numpy does slice by slice, i.e.
-  k-ascending. Its inner axis is the longer side, because numpy runs one
-  inner loop per row and fewer, longer rows cost less. The sum starts from
-  ``initial=0.0``, the loop's own zero start, so a ``-0.0`` total comes out
-  ``+0.0``. A 1x1 output is left to the k loop because numpy reduces a
-  contiguous axis pairwise.
-- blocked sums: a larger product whose output is small but whose K is long
-  (output not 1x1, rows of at most _BLOCK_MAX_ROW values, and a block of
-  _BLOCK_MAX_ELEMS // output-size >= _ROW_BLOCK k's) is summed a block of
-  k's at a time. The block's products go into one preallocated
-  (block, ..., rows, cols) array, the running total is added into its
-  first slice as ``total + products[0]``, and ``np.add.reduce`` over the
-  outer axis writes the block's sum into the total. The reduce runs along
-  a non-contiguous axis, so numpy adds the slices one by one in k order,
-  the running sum as the first operand, as the k loop's ``out += tmp``
-  does; it starts from its identity +0.0, which changes no sum that starts
-  at +0.0. So each entry is the same k-ascending sum, NaN payloads
-  included. A block makes 3 ufunc calls where the k loop makes 2 per k,
-  and that per-call cost is most of what the K=256 products of a wide
-  adapter step pay: interleaved in-process medians went from 1.87 to
-  1.51 ms (h1 @ W2eff.T, 64x256x64), 1.53 to 0.94 ms (64x256x32) and 1.32
-  to 0.73 ms (32x256x64). A block of fewer k's, or rows over 256 values
-  whose one-k temporary stays in L1, measured slower than the k loop.
-- the k loop: any other product loops over k, making each outer product in
-  one reused buffer and adding it to the output, so the temporary stays
-  the output's size. x[k] is read in place; y is copied to C order
-  _ROW_BLOCK rows at a time (a view when it already is), so the copy stays
-  _ROW_BLOCK rows. Blocked sums copy each block's y rows the same way.
+The sum is one call of numpy's C einsum loop (``np.einsum(..., out=out,
+optimize=False)``, which never calls BLAS) with y made C-contiguous (a view
+when it already is) and ``out`` a C-order ``np.empty``. einsum zeroes the
+output and then runs one iterator over k, i and j. j is the only axis with
+a unit stride in both y and out (out's k stride is 0, and y's k stride is
+n >= 2 values), so the iterator makes j its inner axis and each inner loop
+computes ``out[i, j] += x[k, i] * y[k, j]`` over a row; k is an outer axis,
+run in ascending order because y's k stride is positive. That is the
+triple loop: each entry is the k-ascending sum from +0.0, a multiply then
+an add, so a ``-0.0`` total comes out ``+0.0``. numpy 2.4.6 builds its
+einsum loops for the x86-64-v2 baseline, which has no FMA, and the SIMD
+level does not change them. ``order="C"`` would put k innermost, where a
+contiguous k runs numpy's vector dot loop, which sums in another order.
+Stacks take the same call with a ``g`` label.
 
-numpy copies both operands of a broadcast multiply into its ufunc buffers
-(8,192 values by default) when a row is shorter than the buffer; with the
-buffer size at most the row length it runs its vector loop on each row in
-place, 2-3x faster at 256-value rows. So around blocked sums and the k loop
-the buffer size is the row length rounded down to a multiple of 16 (numpy
-rejects other sizes), and at least 16; a ``finally`` restores the caller's
-size on return and on an exception. Every operation there is elementwise
-or a slice-by-slice sum, so the buffer size changes no bytes.
+Whether that holds is numpy's business, so ``_einsum_is_the_loop`` checks
+it once per process, 2-D and stacked, against left-to-right sums of
+Python-float products: -1 + (1 + 2^-30)^2 must come out 2^-29, which an
+FMA would not give, and a long sum of 1e16, 1, -1e16, ... must match, which
+any other order would not. If it fails (a build whose baseline fuses the
+multiply-add, say), and for a 1x1 output, where n >= 2 cannot hold, the
+kernel adds ``x[k] * y[k]`` into a zeroed output one k at a time, which
+gives the same bits.
+
+NaN payloads are outside the contract: any NaN ends a run with exit 4, so
+no artifact holds one. The positions of NaNs and infinities are the triple
+loop's; the payloads need not be. The triple loop keeps the first operand's
+payload where two NaNs meet. einsum adds the running total to the new
+product as ``product + total``, so a NaN product carries its own payload
+past a NaN total, and a product of two NaNs carries either factor's
+payload, depending on the entry's position (numpy's vector loop and its
+scalar tail differ) and on the switch.
 
 ``stacked_matmul(a, b)`` computes the G products a[g] @ b[g] of a (G, m, K)
 and a (G, K, n) stack through the same ``_outer_sum``, with x (K, G, m) and
-y (K, G, n). The switch and all three paths are written with ``...``, so
-they serve 2-D and stacked operands; the vector budget counts the whole
-stack's K*G*m*n products and the block budget its G*m*n outputs. Slice g
-is byte for byte ``matmul(a[g], b[g])``, and each k iteration does G
-products' work, which pays where many small products share their shapes.
-``matmul`` stays 2-D.
+y (K, G, n). Slice g is byte for byte ``matmul(a[g], b[g])``, and one call
+serves all G products, which pays where many small products share their
+shapes. ``matmul`` stays 2-D.
 
 The kernel does not check finiteness; the model checks its losses,
 gradients, logits and embeddings once per call instead, with ``all_finite``.
@@ -113,6 +96,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -235,19 +219,8 @@ def as_matrix(data) -> np.ndarray:
 
 
 _FLOAT64 = np.dtype(np.float64)
-# Largest K*m*n product that matmul computes as one K x m x n array
-# (32k float64 values, a 256 KB temporary); larger ones take a blocked sum
-# or the k loop.
-_VECTOR_MAX_ELEMS = 1 << 15
-# Rows of y that the k loop copies to C order at a time; also the fewest
-# k's a blocked sum takes at a time.
-_ROW_BLOCK = 8
-# Products a blocked sum multiplies at a time (64k float64 values, a 512 KB
-# buffer): a block takes this over the output's size (the whole stack's)
-# k's.
-_BLOCK_MAX_ELEMS = 1 << 16
-# Longest output row that a blocked sum takes; longer rows keep the k loop.
-_BLOCK_MAX_ROW = 256
+# einsum's subscripts for a 2-D product and for a stack of them.
+_SUBSCRIPTS = {2: "ki,kj->ij", 3: "kgi,kgj->gij"}
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -282,38 +255,41 @@ def _outer_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     y (K, G, n) give the G products as (G, m, n)."""
     if y.shape[-1] < x.shape[-1]:
         return np.ascontiguousarray(_outer_sum(y, x).swapaxes(-1, -2))
-    m = x.shape[-1]
-    n = y.shape[-1]
-    if m * n > 1 and x.size * n <= _VECTOR_MAX_ELEMS:
-        return np.add.reduce(np.multiply(x[..., None], y[..., None, :],
-                                         order="C"), axis=0, initial=0.0)
-    out = np.zeros((*x.shape[1:], n))
-    block = 0
-    if m * n > 1 and n <= _BLOCK_MAX_ROW:
-        block = _BLOCK_MAX_ELEMS // out.size
-    caller_bufsize = np.setbufsize(max(16, n // 16 * 16))
-    try:
-        if block >= _ROW_BLOCK:
-            products = np.empty((block, *out.shape))
-            for start in range(0, len(x), block):
-                stop = start + block
-                rows = np.ascontiguousarray(y[start:stop])
-                p = products[:len(rows)]
-                np.multiply(x[start:stop, ..., None], rows[..., None, :],
-                            out=p)
-                np.add(out, p[0], out=p[0])
-                np.add.reduce(p, axis=0, out=out)
-        else:
-            tmp = np.empty_like(out)
-            for start in range(0, len(x), _ROW_BLOCK):
-                stop = start + _ROW_BLOCK
-                rows = np.ascontiguousarray(y[start:stop])[..., None, :]
-                for x_k, y_k in zip(x[start:stop, ..., None], rows):
-                    np.multiply(x_k, y_k, out=tmp)
-                    out += tmp
-    finally:
-        np.setbufsize(caller_bufsize)
+    if y.shape[-1] > 1 and _einsum_is_the_loop():
+        return _einsum(x, y)
+    out = np.zeros((*x.shape[1:], y.shape[-1]))
+    for x_k, y_k in zip(x[..., None], y[..., None, :]):
+        out += x_k * y_k
     return out
+
+
+def _einsum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``_outer_sum`` by numpy's C einsum loop, for n >= 2: y C-contiguous
+    and a C-order output make j the iterator's inner axis, so each entry is
+    ``out[i, j] += x[k, i] * y[k, j]``, k ascending from a zeroed output."""
+    out = np.empty((*x.shape[1:], y.shape[-1]))
+    return np.einsum(_SUBSCRIPTS[x.ndim], x, np.ascontiguousarray(y),
+                     out=out, optimize=False)
+
+
+@functools.cache
+def _einsum_is_the_loop() -> bool:
+    """Whether ``_einsum`` gives the k loop's bits on this numpy, 2-D and
+    stacked, checked once against left-to-right sums of Python-float
+    products: entry (0, 0) is -1 + (1 + 2^-30)^2, which is 2^-29 unfused
+    and 2^-29 + 2^-60 under an FMA; entry (1, 1) adds a long run of terms
+    whose sum changes with any other order."""
+    e = 2.0 ** -30
+    terms = [1e16, 1.0, -1e16, 1.0, 3.0, -2.0, 0.5, 1e-3] * 9
+    rows = [[-1.0, 1.0 + e] + [0.0] * len(terms), [0.0, 0.0] + terms]
+    cols = [[1.0, 1.0 + e] + terms[::-1], [1.0, 1.0] + [1.0] * len(terms)]
+    want = [[functools.reduce(operator.add, map(operator.mul, r, c), 0.0)
+             for c in cols] for r in rows]
+    a = np.array([rows, rows])  # (G, m, K), read as matmul reads a
+    b = np.array([cols, cols]).transpose(0, 2, 1)  # (G, K, n)
+    return (_einsum(a[0].T, b[0]).tolist() == want
+            and _einsum(a.transpose(2, 0, 1), b.transpose(1, 0, 2)).tolist()
+            == [want, want])
 
 
 def all_finite(x: np.ndarray) -> bool:

@@ -5,6 +5,11 @@ not depend on the BLAS build; `@`, `dot`, `einsum`, `tensordot`, `inner`,
 `np.matmul` and `np.linalg` do. This test pins the sites that still use
 them, so a new one (say in the per-sample Fisher or the index draws) fails
 here instead of quietly tying an artifact to the BLAS kernel.
+
+An `einsum` call that passes the literal keyword `optimize=False` is not a
+site: numpy's C einsum loop never calls BLAS, and `tests/test_numerics.py`
+pins the bits of the one such call, `numerics._einsum`. Any other
+`optimize`, or none, may hand the contraction to `tensordot` and BLAS.
 """
 
 import ast
@@ -40,13 +45,20 @@ def _dotted(node) -> str | None:
     return ".".join(reversed(parts))
 
 
+def _unoptimized(call: ast.Call) -> bool:
+    """Whether the call passes the literal keyword ``optimize=False``."""
+    return any(kw.arg == "optimize" and isinstance(kw.value, ast.Constant)
+               and kw.value.value is False for kw in call.keywords)
+
+
 def _operation(node) -> str | None:
     if isinstance(node, (ast.BinOp, ast.AugAssign)) and \
             isinstance(node.op, ast.MatMult):
         return "@"
     if isinstance(node, ast.Call):
         name = _dotted(node.func)
-        if name is None:
+        if name is None or name.split(".")[-1] == "einsum" and \
+                _unoptimized(node):
             return None
         parts = name.split(".")
         if parts[-1] in BLAS_CALLS or name.endswith("np.matmul") or \
@@ -85,10 +97,14 @@ def test_the_scanner_sees_each_form(tmp_path):
         "def f(a, b):\n"
         "    a @= b\n"
         "    return (a @ b, np.dot(a, b), a.dot(b), np.einsum('i,i', a, b),\n"
+        "            np.einsum('i,i', a, b, optimize=True),\n"
+        "            np.einsum('i,i', a, b, optimize=flag),\n"
+        "            np.einsum('i,i', a, b, optimize=False),\n"
         "            np.tensordot(a, b), np.inner(a, b), np.matmul(a, b),\n"
         "            np.linalg.norm(a), matmul(a, b))\n")
+    # only the literal optimize=False einsum is BLAS-free
     assert blas_sites(path) == Counter({
         ("m.py", "f", "@"): 2, ("m.py", "f", "np.dot"): 1,
-        ("m.py", "f", "a.dot"): 1, ("m.py", "f", "np.einsum"): 1,
+        ("m.py", "f", "a.dot"): 1, ("m.py", "f", "np.einsum"): 3,
         ("m.py", "f", "np.tensordot"): 1, ("m.py", "f", "np.inner"): 1,
         ("m.py", "f", "np.matmul"): 1, ("m.py", "f", "np.linalg.norm"): 1})

@@ -2,11 +2,11 @@
 
 Each config's odd sizes are drawn from its seed; its fixed part picks what
 it covers: partial batches with rank 1 and two classes; hidden 300 and
-embed 160 with SGD, so training products take matmul's blocked sums and
-k loop; stratified replay. Per config, the five null-hyperparameter
-reductions hold byte for byte and a rerun from config_echo.json writes the
-same bytes. A wide ILORA run writes the same bytes with blocked sums
-switched off.
+embed 160 with SGD, so training products have long rows and a long K;
+stratified replay. Per config, the five null-hyperparameter reductions
+hold byte for byte and a rerun from config_echo.json writes the same bytes.
+A wide ILORA run writes the same bytes through matmul's einsum loop and
+through its k-loop fallback.
 """
 
 import dataclasses
@@ -18,7 +18,6 @@ import pytest
 from ilora_lab import RngState, numerics, run_sequence
 from ilora_lab.artifacts import rebuild_environment
 from ilora_lab.cli import _strategy_config, main, validate_config
-from ilora_lab.numerics import _VECTOR_MAX_ELEMS
 
 from scalar_rng import ScalarRng
 
@@ -56,10 +55,12 @@ CONFIGS = {
 
 
 def test_configs_cover_both_kernel_paths_and_odd_sizes():
-    # a hidden-to-embedding product of one batch: K*m*n per config
+    # a hidden-to-embedding product of one batch: K*m*n per config, from a
+    # few hundred products, bound by per-call cost, to over 100k, bound by
+    # arithmetic (the former vector path's and k loop's sizes)
     sizes = [c["arch"]["hidden"] * c["arch"]["embed"]
              * c["training"]["batch_size"] for c in CONFIGS.values()]
-    assert min(sizes) <= _VECTOR_MAX_ELEMS < max(sizes)
+    assert min(sizes) < 1 << 10 and max(sizes) > 1 << 17
     for cfg in CONFIGS.values():
         assert cfg["stream"]["n_train"] % 2 == 1
         assert cfg["stream"]["n_train"] % cfg["training"]["batch_size"] != 0
@@ -109,29 +110,31 @@ def test_contract(name, tmp_path):
     assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
 
 
-def test_blocked_sums_change_no_byte(tmp_path, monkeypatch):
+def test_the_fallback_changes_no_byte(tmp_path, monkeypatch):
     # hidden 256 sends the K=256 second layer, its stacked slow-memory
-    # twin and the dW2 products through matmul's blocked sums; the same run
-    # with them off (every such product in the k loop) writes the same bytes
+    # twin and the dW2 products through einsum; the same run with the
+    # einsum probe failed (every product in the k loop) writes the same
+    # bytes
     path = tmp_path / "config.json"
     path.write_text(json.dumps(draw_config(
         304, "ILORA", {"tasks": 2, "input_dim": 8, "classes": 3,
                        "n_train": 95},
         {"hidden": 256, "embed": 16, "rank": 4, "pretrain_batch": 32},
         {"epochs": 1, "batch_size": 32})))
-    multiply = np.multiply
+    einsum = np.einsum
     calls = []
 
     def count(*args, **kwargs):
         calls.append(None)
-        return multiply(*args, **kwargs)
+        return einsum(*args, **kwargs)
 
-    monkeypatch.setattr(np, "multiply", count)
+    monkeypatch.setattr(np, "einsum", count)
     products = []
-    for out, block_max in (("a", numerics._BLOCK_MAX_ELEMS), ("b", 0)):
-        monkeypatch.setattr(numerics, "_BLOCK_MAX_ELEMS", block_max)
+    for out, probe in (("a", numerics._einsum_is_the_loop),
+                       ("b", lambda: False)):
+        monkeypatch.setattr(numerics, "_einsum_is_the_loop", probe)
         calls.clear()
         assert main(["run", str(path), "--out", str(tmp_path / out)]) == 0
         products.append(len(calls))
-    assert products[0] < products[1] // 2
+    assert products[0] > 100 and products[1] == 0
     assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")

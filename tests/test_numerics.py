@@ -1,17 +1,24 @@
+import json
 import types
 
 import numpy as np
 import pytest
 
 from ilora_lab import (Batch, RngState, finite_diff_grad, gaussian_fill,
-                       matmul)
-from ilora_lab.numerics import (_BLOCK_MAX_ELEMS, _FILL_CHUNK, _JUMP_ROWS,
-                                _VECTOR_MAX_ELEMS, _box_muller,
+                       matmul, numerics)
+from ilora_lab.numerics import (_FILL_CHUNK, _JUMP_ROWS, _box_muller,
                                 _states_after, stacked_matmul)
 
 import scalar_rng
 from conftest import make_batch
 from scalar_rng import ScalarRng, assert_same_next
+from test_golden import GOLDEN, run_digests
+
+# The former kernel's thresholds, kept as the sizes its tests straddle: the
+# vector path took K*m*n <= 32k products, and blocked sums took 64k
+# products a block.
+OLD_VECTOR_MAX = 1 << 15
+OLD_BLOCK_MAX = 1 << 16
 
 
 def loop_sum(xs, ys):
@@ -77,19 +84,19 @@ def assert_bit_equal_to_loop(a, b, rng, max_full=4096, samples=16):
         assert out[i, j].tobytes() == want.tobytes(), (m, k, n, i, j)
 
 
-def spy_products(monkeypatch, fail_at=0):
-    """Record (shape, buffer size) of every product array np.multiply
-    makes; raise FloatingPointError at call number fail_at."""
+def spy_einsum(monkeypatch, fail_at=0):
+    """Record (x shape, y shape, buffer size) of every np.einsum call;
+    raise FloatingPointError at call number fail_at."""
     calls = []
-    multiply = np.multiply
+    einsum = np.einsum
 
-    def spy(x, y, *args, **kwargs):
-        calls.append((np.broadcast_shapes(x.shape, y.shape), np.getbufsize()))
+    def spy(subscripts, x, y, **kwargs):
+        calls.append((x.shape, y.shape, np.getbufsize()))
         if len(calls) == fail_at:
             raise FloatingPointError("injected")
-        return multiply(x, y, *args, **kwargs)
+        return einsum(subscripts, x, y, **kwargs)
 
-    monkeypatch.setattr(np, "multiply", spy)
+    monkeypatch.setattr(np, "einsum", spy)
     return calls
 
 
@@ -100,23 +107,13 @@ def bufsize_4096():
     np.setbufsize(old)
 
 
-def product_shapes(calls):
-    return [shape for shape, _ in calls]
-
-
-def block_shapes(k, block, shape):
-    """The product shapes of a blocked sum over k: whole blocks, then the
-    rest."""
-    return [(min(block, k - start), *shape) for start in range(0, k, block)]
-
-
 def bits(x):
     return np.ascontiguousarray(x).view(np.uint64)
 
 
 class TestMatmulBitExact:
     """matmul must reproduce the naive k-ascending triple loop bit for bit on
-    every kernel path, whatever the operand layout."""
+    both kernel paths, whatever the operand layout."""
 
     SIDES = (1, 2, 3, 16, 64, 256)
     INNER = (1, 2, 9, 16, 33, 64, 256)
@@ -132,13 +129,14 @@ class TestMatmulBitExact:
                     assert_bit_equal_to_loop(a, b, rng)
 
     def test_both_sides_of_vector_cutoff(self):
+        # both sides of the former vector path's 32k-product cutoff
         rng = np.random.default_rng(7)
         for m, k, n in ((2, 256, 64), (3, 256, 64), (16, 64, 32),
                         (16, 64, 33), (1, 256, 128), (1, 256, 129)):
             for layout in self.LAYOUTS:
                 a = operand(rng, m, k, layout)
                 b = operand(rng, k, n, layout)
-                assert_bit_equal_to_loop(a, b, rng, max_full=_VECTOR_MAX_ELEMS * 2)
+                assert_bit_equal_to_loop(a, b, rng, max_full=OLD_VECTOR_MAX * 2)
 
     def test_single_output_uses_sequential_sum(self):
         # numpy sums a contiguous axis pairwise; a 1x1 output must not
@@ -159,13 +157,12 @@ class TestMatmulBitExact:
             assert out.tobytes() == triple_loop_matmul(a, b).tobytes()
 
     def test_skewed_shapes_just_under_the_cutoff(self):
-        # the product array's inner axis is the longer of m and n; when
-        # n < m the kernel sums b x a.T and returns its transpose
+        # skewed shapes under the former vector cutoff; when n < m the
+        # kernel sums b x a.T and returns its transpose
         rng = np.random.default_rng(13)
         for m, k, n in ((256, 16, 8), (255, 16, 8), (1024, 32, 1),
                         (8, 16, 256), (8, 16, 255), (1, 32, 1024),
                         (64, 2, 255), (2, 64, 255)):
-            assert m * k * n <= _VECTOR_MAX_ELEMS
             for layout_a in self.LAYOUTS:
                 for layout_b in self.LAYOUTS:
                     a = operand(rng, m, k, layout_a)
@@ -173,19 +170,17 @@ class TestMatmulBitExact:
                     out = matmul(a, b)
                     assert out.flags.c_contiguous, (m, k, n)
                     assert_bit_equal_to_loop(a, b, rng,
-                                             max_full=_VECTOR_MAX_ELEMS)
+                                             max_full=OLD_VECTOR_MAX)
 
 
 class TestMatmulLongRows:
-    """Products over the vector cutoff, blocked or in the k loop, run along
-    their longer axis with numpy's buffer size set to that row length
-    rounded down to a multiple of 16 (at least 16), then restore the
-    caller's."""
+    """Products with long rows or a long K give the loop's bytes, and run
+    under the caller's ufunc buffer size: the kernel sets none."""
 
-    # (long side, k, short side), each over the vector cutoff: around and
-    # over 256-value rows, the stacked 1,820-row sweep, wide-adapter's three
-    # 64-value-row products and a product whose longer side is under 16;
-    # those with rows of at most 256 values are blocked sums
+    # (long side, k, short side), each over the former vector cutoff:
+    # around and over 256-value rows, the stacked 1,820-row sweep,
+    # wide-adapter's three 64-value-row products and a product whose longer
+    # side is under 16
     SHAPES = ((255, 17, 8), (256, 17, 8), (257, 17, 8), (300, 17, 8),
               (1820, 5, 4), (64, 256, 64), (64, 256, 32), (4, 4096, 4))
 
@@ -194,7 +189,6 @@ class TestMatmulLongRows:
         layouts = TestMatmulBitExact.LAYOUTS
         for long, k, short in self.SHAPES:
             for m, n in ((long, short), (short, long)):
-                assert k * m * n > _VECTOR_MAX_ELEMS
                 for layout_a in layouts:
                     for layout_b in layouts:
                         a = operand(rng, m, k, layout_a)
@@ -208,26 +202,23 @@ class TestMatmulLongRows:
                                       (64, 64), (4, 4)])
     def test_buffer_size_scoped_to_the_loop(self, monkeypatch, bufsize_4096,
                                             m, n):
-        # every product sees its longer side rounded down to a multiple of
-        # 16, at least 16; the caller's size is back afterwards. (64, 64)
-        # and (4, 4) are blocked sums (3-D product arrays), the rest k loops
-        k = max(16, _VECTOR_MAX_ELEMS // (m * n) + 1)
-        calls = spy_products(monkeypatch)
-        matmul(np.ones((m, k)), np.ones((k, n)))
-        long = max(m, n)
-        assert {size for _, size in calls} == {max(16, long // 16 * 16)}
-        blocked = (m, n) in ((64, 64), (4, 4))
-        assert {len(shape) for shape in product_shapes(calls)} == \
-            {3 if blocked else 2}
+        # the einsum loop runs in the caller's buffer-size scope: one call,
+        # on the longer side's rows, under the caller's 4096
+        k = max(16, OLD_VECTOR_MAX // (m * n) + 1)
+        calls = spy_einsum(monkeypatch)
+        out = matmul(np.ones((m, k)), np.ones((k, n)))
+        assert (out == k).all()
+        short, long = sorted((m, n))
+        assert calls == [((k, short), (k, long), 4096)]
         assert np.getbufsize() == 4096
 
     @pytest.mark.parametrize("m, n", [(1820, 4), (4, 1820)])
     def test_buffer_size_restored_after_an_error(self, monkeypatch,
                                                  bufsize_4096, m, n):
-        calls = spy_products(monkeypatch, fail_at=3)
+        calls = spy_einsum(monkeypatch, fail_at=1)
         with pytest.raises(FloatingPointError, match="injected"):
             matmul(np.ones((m, 16)), np.ones((16, n)))
-        assert calls == [((4, 1820), 1808)] * 3  # k-loop products
+        assert calls == [((16, 4), (16, 1820), 4096)]
         assert np.getbufsize() == 4096
 
 
@@ -248,12 +239,25 @@ def test_the_loop_keeps_the_first_nan_on_every_call():
         assert (bits(fresh(xs, ys)) == bits(nan(1))).all()
 
 
+def product_first_matmul(a, b):
+    """The triple loop with einsum's sum order where two NaNs meet: the
+    product as the first addend, ``product + total``. No product in the
+    test's operands has two NaN factors."""
+    out = np.zeros((a.shape[0], b.shape[1]))
+    for i in range(a.shape[0]):
+        for j in range(b.shape[1]):
+            s = np.float64(0.0)
+            for x, y in zip(a[i], b[:, j]):
+                s = np.add(np.multiply(x, y), s)
+            out[i, j] = s
+    return out
+
+
 class TestMatmulBlocked:
-    """A product with a small output and a long K is summed a block of k's
-    at a time: the block's products in one array, the running total added
-    to its first slice, the block summed over its outer axis into the
-    total. Each entry is still the triple loop's k-ascending sum from +0.0,
-    bit for bit."""
+    """Shapes at the edges of the former blocked sums, which summed a small
+    output over a long K a block of 65,536 / output-size k's at a time:
+    each entry is still the triple loop's k-ascending sum from +0.0, bit
+    for bit."""
 
     @staticmethod
     def k_around(block):
@@ -261,33 +265,25 @@ class TestMatmulBlocked:
 
     # both sides of the orientation switch, and a block of 256 k's
     @pytest.mark.parametrize("m, n", [(64, 32), (32, 64), (64, 64), (16, 16)])
-    def test_block_edges_give_the_loop_bits(self, monkeypatch, m, n):
-        block = _BLOCK_MAX_ELEMS // (m * n)
+    def test_block_edges_give_the_loop_bits(self, m, n):
+        block = OLD_BLOCK_MAX // (m * n)
         rng = np.random.default_rng(m * 1000 + n)
         for k in self.k_around(block):
             a = operand(rng, m, k, "T")
             b = operand(rng, k, n, "strided")
-            calls = spy_products(monkeypatch)
             out = matmul(a, b)
-            monkeypatch.undo()
-            assert product_shapes(calls) == block_shapes(
-                k, block, (min(m, n), max(m, n))), (m, k, n)
             assert out.flags.c_contiguous
             assert (bits(out) == bits(triple_loop_matmul(a, b))).all()
 
     @pytest.mark.parametrize("G, m, n", [(1, 32, 16), (3, 16, 32),
                                          (3, 32, 16)])
-    def test_stacks_give_the_loop_bits(self, monkeypatch, G, m, n):
-        block = _BLOCK_MAX_ELEMS // (G * m * n)
+    def test_stacks_give_the_loop_bits(self, G, m, n):
+        block = OLD_BLOCK_MAX // (G * m * n)
         rng = np.random.default_rng(G * 10007 + m * 101 + n)
         for k in self.k_around(block):
             a = stack_operand(rng, G, m, k, "inner")
             b = stack_operand(rng, G, k, n, "T")
-            calls = spy_products(monkeypatch)
             out = stacked_matmul(a, b)
-            monkeypatch.undo()
-            assert product_shapes(calls) == block_shapes(
-                k, block, (G, min(m, n), max(m, n))), (G, m, k, n)
             for g in range(G):
                 want = triple_loop_matmul(a[g], b[g])
                 assert (bits(out[g]) == bits(want)).all(), (G, m, k, n, g)
@@ -304,10 +300,10 @@ class TestMatmulBlocked:
 
     @pytest.mark.parametrize("m, n", [(64, 32), (32, 64)])
     def test_nan_payloads_and_infinities_match_the_loop(self, m, n):
-        # the total is the first operand of every add: a NaN carried into a
-        # block keeps its payload over the NaN of the block's first k, and
-        # one summed within a block keeps it over a later one
-        block = _BLOCK_MAX_ELEMS // (m * n)
+        # NaNs and infinities sit where the loop puts them, and every other
+        # entry has the loop's bits; the payloads follow einsum's
+        # ``product + total``, so the last NaN product's payload survives
+        block = OLD_BLOCK_MAX // (m * n)
         k = 2 * block + 3
         rng = np.random.default_rng(43)
         a = rng.standard_normal((m, k))
@@ -321,46 +317,48 @@ class TestMatmulBlocked:
         with np.errstate(invalid="ignore"):
             out = matmul(a, b)
             want = triple_loop_matmul(a, b)
+            product_first = product_first_matmul(a, b)
+        is_nan = np.isnan(want)
+        assert (np.isnan(out) == is_nan).all()
+        assert np.isinf(want).any()
+        assert (bits(out)[~is_nan] == bits(want)[~is_nan]).all()
+        assert (bits(out) == bits(product_first)).all()
         payloads = {int(w) for w in bits(out)[np.isnan(out)]}
-        assert {int(nan(1).view(np.uint64)),
-                int(nan(4, True).view(np.uint64))} < payloads
-        assert (bits(out) == bits(want)).all()
-        # two NaNs in one product, unswitched (n >= m): a's payload
-        # survives; the switch, and numpy's loops in some positions of
-        # larger shapes, are the numerics docstring's exception
+        assert {int(nan(3).view(np.uint64)), int(nan(4, True).view(np.uint64)),
+                int(nan(5).view(np.uint64))} < payloads
+        # two NaNs in one product: a NaN either way, of either payload
         a, b = np.array([[nan(6)]]), np.array([[nan(7), nan(8, True)]])
         with np.errstate(invalid="ignore"):
             out = matmul(a, b)
-            want = triple_loop_matmul(a, b)
-        assert (bits(out) == bits(want)).all()
-        assert (bits(out) == int(nan(6).view(np.uint64))).all()
+        assert np.isnan(out).all()
+        factors = (nan(6), nan(7), nan(8, True))
+        assert set(bits(out).ravel().tolist()) <= \
+            {int(f.view(np.uint64)) for f in factors}
 
-    # a return, and an error in the second block
+    # a return, and an error in the second product
     @pytest.mark.parametrize("fail_at", [0, 2])
     def test_buffer_size_restored(self, monkeypatch, bufsize_4096, fail_at):
-        calls = spy_products(monkeypatch, fail_at)
+        calls = spy_einsum(monkeypatch, fail_at)
         a, b = np.ones((16, 256)), np.ones((256, 64))
+        assert (matmul(a, b) == 256.0).all()
         if fail_at:
             with pytest.raises(FloatingPointError, match="injected"):
                 matmul(a, b)
-        else:
-            matmul(a, b)
-        assert calls == [((64, 16, 64), 64)] * (fail_at or 4)
+        assert calls == [((256, 16), (256, 64), 4096)] * (fail_at or 1)
         assert np.getbufsize() == 4096
 
     @pytest.mark.parametrize("G", [1, 3])
     def test_single_outputs_stay_sequential(self, monkeypatch, G):
         # numpy sums a contiguous (K, 1) axis pairwise; a 1x1 output, alone
-        # or stacked, takes the k loop however long K is
+        # or stacked, takes the k loop however long K is, never einsum
         rng = np.random.default_rng(G)
         k = 1000
         scale = 10.0 ** rng.integers(-8, 8, (G, 1, k))
         a = rng.standard_normal((G, 1, k)) * scale
         b = rng.standard_normal((G, k, 1))
-        calls = spy_products(monkeypatch)
+        calls = spy_einsum(monkeypatch)
         out = stacked_matmul(a, b)
-        monkeypatch.undo()
-        assert product_shapes(calls) == [(G, 1, 1)] * k
+        assert calls == []
         for g in range(G):
             want = triple_loop_matmul(a[g], b[g])
             assert (bits(out[g]) == bits(want)).all()
@@ -368,12 +366,11 @@ class TestMatmulBlocked:
 
 
 class TestMatmulCallerBufsize:
-    """The caller's ufunc buffer size changes no byte of a product: blocked
-    sums and the k loop set their own, and the vector path's sum is
-    k-ascending at any."""
+    """The caller's ufunc buffer size changes no byte of a product, on
+    either kernel path."""
 
-    # the vector path, blocked sums and the k loop, both orientations, and
-    # the 1x1 output
+    # the former vector path's, blocked sums' and k loop's shapes, both
+    # orientations, and the 1x1 output
     SHAPES = ((8, 16, 64), (64, 16, 8), (64, 256, 32), (32, 256, 64),
               (300, 17, 8), (8, 17, 300), (1, 300, 1))
 
@@ -411,14 +408,14 @@ def stack_operand(rng, G, rows, cols, layout):
 
 
 class TestStackedMatmul:
-    """stacked_matmul gives each slice the triple loop's bytes, on all three
+    """stacked_matmul gives each slice the triple loop's bytes, on both
     kernel paths and in both orientations, whatever the stack's layout."""
 
     LAYOUTS = ("C", "T", "strided", "inner")
-    # (G, m, K, n): the vector path with n >= m and n < m; blocked sums with
-    # n >= m and n < m, a whole block and a partial one; the k loop for a
-    # 1x1 output, for rows over 256 values in both orientations and for a
-    # block under 8 k's; and G = 1 on the first two paths
+    # (G, m, K, n): the former vector path with n >= m and n < m; the
+    # former blocked sums with n >= m and n < m, a whole block and a
+    # partial one; a 1x1 output, rows over 256 values in both orientations
+    # and the former k loop's block under 8 k's; and G = 1
     SHAPES = ((3, 4, 5, 6), (3, 6, 5, 4), (8, 16, 8, 32), (8, 32, 8, 16),
               (2, 1, 9, 1), (3, 20, 30, 70), (3, 70, 30, 20), (4, 5, 33, 9),
               (1, 8, 8, 32), (1, 64, 17, 40), (1, 40, 17, 64),
@@ -439,24 +436,21 @@ class TestStackedMatmul:
                     assert out[g].tobytes() == want, (G, m, k, n, g)
                     assert matmul(a[g], b[g]).tobytes() == want
 
-    # (G, m, K, n) and the product shapes np.multiply makes
+    # (G, m, K, n) and the (x, y) shapes einsum sees: y is the longer side
     PATHS = (
-        # vector path: one (K, G, m, n) product array
-        ((8, 16, 8, 32), [(8, 8, 16, 32)]),
-        # blocked sum: 65,536 // 4,200 = 15 k's a block
-        ((3, 20, 30, 70), [(15, 3, 20, 70)] * 2),
-        # k loop: one (G, m, n) product per k, for rows over 256 values, a
-        # block under 8 k's (65,536 // 8,400 = 7) and a 1x1 output
-        ((1, 2, 60, 300), [(1, 2, 300)] * 60),
-        ((3, 40, 30, 70), [(3, 40, 70)] * 30),
-        ((2, 1, 40, 1), [(2, 1, 1)] * 40))
+        ((8, 16, 8, 32), [((8, 8, 16), (8, 8, 32))]),
+        ((3, 70, 30, 20), [((30, 3, 20), (30, 3, 70))]),
+        ((1, 2, 60, 300), [((60, 1, 2), (60, 1, 300))]),
+        # a 1x1 output: the k loop
+        ((2, 1, 40, 1), []))
 
-    def test_all_three_paths_are_taken(self, monkeypatch):
-        calls = spy_products(monkeypatch)
-        for (G, m, k, n), products in self.PATHS:
+    def test_both_paths_are_taken(self, monkeypatch):
+        calls = spy_einsum(monkeypatch)
+        for (G, m, k, n), shapes in self.PATHS:
             calls.clear()
-            stacked_matmul(np.ones((G, m, k)), np.ones((G, k, n)))
-            assert product_shapes(calls) == products, (G, m, k, n)
+            out = stacked_matmul(np.ones((G, m, k)), np.ones((G, k, n)))
+            assert (out == k).all()
+            assert [call[:2] for call in calls] == shapes, (G, m, k, n)
 
     def test_negative_zero_total_becomes_positive_zero(self):
         rng = np.random.default_rng(5)
@@ -476,11 +470,88 @@ class TestStackedMatmul:
     @pytest.mark.parametrize("m, n", [(300, 8), (8, 300)])
     def test_buffer_size_restored_after_an_error(self, monkeypatch,
                                                  bufsize_4096, m, n):
-        calls = spy_products(monkeypatch, fail_at=3)
+        calls = spy_einsum(monkeypatch, fail_at=1)
         with pytest.raises(FloatingPointError, match="injected"):
             stacked_matmul(np.ones((4, m, 16)), np.ones((4, 16, n)))
-        assert calls == [((4, 8, 300), 288)] * 3  # k-loop products
+        assert calls == [((16, 4, 8), (16, 4, 300), 4096)]
         assert np.getbufsize() == 4096
+
+
+REAL_EINSUM = np.einsum
+
+
+def blas_einsum(subscripts, x, y, out, optimize):
+    """A stand-in that hands the product to BLAS, which fuses and reorders."""
+    out[...] = np.matmul(np.moveaxis(x, 0, -1), np.moveaxis(y, 0, -2))
+    return out
+
+
+def fused_einsum(subscripts, x, y, out, optimize):
+    """A stand-in that rounds each sum once, from extended precision, as a
+    fused multiply-add does."""
+    out[...] = REAL_EINSUM(subscripts, x.astype(np.longdouble),
+                           y.astype(np.longdouble), optimize=optimize)
+    return out
+
+
+def dot_einsum(subscripts, x, y, out, optimize):
+    """A stand-in that makes k y's contiguous axis, so einsum runs its
+    vector dot loop over k, which sums in another order."""
+    return REAL_EINSUM(subscripts, x, y.copy(order="F"), out=out,
+                       optimize=optimize)
+
+
+def stacked_dot_einsum(subscripts, x, y, out, optimize):
+    """A stand-in that reorders stacks only: 2-D products are einsum's."""
+    if x.ndim == 2:
+        return REAL_EINSUM(subscripts, x, y, out=out, optimize=optimize)
+    return dot_einsum(subscripts, x, y, out, optimize)
+
+
+class TestEinsumProbe:
+    """``_einsum_is_the_loop`` accepts this numpy's einsum and rejects a
+    fused or reordering one; then every product takes the k loop, which
+    gives the same bits."""
+
+    @pytest.fixture
+    def fresh_probe(self):
+        numerics._einsum_is_the_loop.cache_clear()
+        yield
+        numerics._einsum_is_the_loop.cache_clear()
+
+    def test_this_numpy_passes(self, fresh_probe):
+        assert numerics._einsum_is_the_loop()
+
+    @pytest.mark.parametrize("stand_in", [blas_einsum, fused_einsum,
+                                          dot_einsum, stacked_dot_einsum])
+    def test_a_fused_or_reordering_einsum_is_rejected(
+            self, monkeypatch, fresh_probe, stand_in):
+        calls = []
+        monkeypatch.setattr(np, "einsum",
+                            lambda *args, **kw: calls.append(args[0])
+                            or stand_in(*args, **kw))
+        assert not numerics._einsum_is_the_loop()
+        probed = len(calls)
+        assert probed >= 1
+        rng = np.random.default_rng(61)
+        for m, k, n in ((3, 70, 5), (64, 256, 32), (16, 9, 40)):
+            a = operand(rng, m, k, "T")
+            b = operand(rng, k, n, "strided")
+            assert (bits(matmul(a, b)) == bits(triple_loop_matmul(a, b))).all()
+        a = stack_operand(rng, 3, 6, 40, "inner")
+        b = stack_operand(rng, 3, 40, 9, "C")
+        out = stacked_matmul(a, b)
+        for g in range(3):
+            assert (bits(out[g]) == bits(triple_loop_matmul(a[g], b[g]))).all()
+        assert len(calls) == probed
+
+    def test_the_fallback_keeps_a_golden_digest(self, monkeypatch, tmp_path,
+                                                fresh_probe):
+        monkeypatch.setattr(np, "einsum", blas_einsum)
+        assert not numerics._einsum_is_the_loop()
+        golden = json.loads(GOLDEN.read_text())
+        assert run_digests(tmp_path, "default", "ILORA") == \
+            golden["default/ILORA"]
 
 
 class TestMatmulOperands:
