@@ -7,16 +7,18 @@ operand that is already a 2-D float64 ndarray is used as it is; anything
 else goes through ``as_matrix``.
 
 The product is the sum over k of the outer products of column k of a and
-row k of b: ``_outer_sum(a.T, b)``, the sum over k of x[k] (x) y[k] for
+row k of b: ``_products(a.T, b)``, the sum over k of x[k] (x) y[k] for
 K-row x and y. It holds the one orientation switch: when n < m it sums
-y (x) x and returns that n x m result's transpose as a C-contiguous copy.
+y (x) x and returns a C-contiguous copy of that n x m result's transpose.
 Products commute and every entry is still summed k-ascending from +0.0, so
 the bytes are the same, and the product it computes is never narrower than
 it is tall: n >= 2 for every output but a 1x1 one.
 
-The sum is one call of numpy's C einsum loop (``np.einsum(..., out=out,
-optimize=False)``, which never calls BLAS) with y made C-contiguous (a view
-when it already is) and ``out`` a C-order ``np.empty``. einsum zeroes the
+The sum is one call of numpy's C einsum entry, ``c_einsum`` from
+``numpy._core.multiarray``, which ``np.einsum(..., optimize=False)``
+forwards to and which never calls BLAS. ``_products`` calls it directly,
+``c_einsum(subscripts, x, y, out=out)``, with y C-contiguous (copied only
+when it is not) and ``out`` a C-order ``np.empty``. einsum zeroes the
 output and then runs one iterator over k, i and j. j is the only axis with
 a unit stride in both y and out (out's k stride is 0, and y's k stride is
 n >= 2 values), so the iterator makes j its inner axis and each inner loop
@@ -27,16 +29,19 @@ an add, so a ``-0.0`` total comes out ``+0.0``. numpy 2.4.6 builds its
 einsum loops for the x86-64-v2 baseline, which has no FMA, and the SIMD
 level does not change them. ``order="C"`` would put k innermost, where a
 contiguous k runs numpy's vector dot loop, which sums in another order.
-Stacks take the same call with a ``g`` label.
+Stacks take the same call: the subscripts' ``...`` is their stack axis.
 
-Whether that holds is numpy's business, so ``_einsum_is_the_loop`` checks
-it once per process, 2-D and stacked, against left-to-right sums of
-Python-float products: -1 + (1 + 2^-30)^2 must come out 2^-29, which an
-FMA would not give, and a long sum of 1e16, 1, -1e16, ... must match, which
-any other order would not. If it fails (a build whose baseline fuses the
-multiply-add, say), and for a 1x1 output, where n >= 2 cannot hold, the
-kernel adds ``x[k] * y[k]`` into a zeroed output one k at a time, which
-gives the same bits.
+The entry is private to numpy and the rule rests on how numpy builds it,
+so the first product binds the kernel, once per process: ``_bind``
+imports the entry, makes it ``_kernel`` and checks it through
+``_products``, 2-D and stacked, against left-to-right sums of Python-float
+products. -1 + (1 + 2^-30)^2 must come out 2^-29, which an FMA would not
+give, and a long sum of 1e16, 1, -1e16, ... must match, which any other
+order would not. If the import fails (a numpy without the entry) or the
+check does (a build whose baseline fuses the multiply-add, say),
+``_kernel`` is ``_k_loop`` for good. ``_k_loop`` serves a 1x1 output too,
+where n >= 2 cannot hold: it adds ``x[k] * y[k]`` into a zeroed output one
+k at a time, which gives the same bits.
 
 NaN payloads are outside the contract: any NaN ends a run with exit 4, so
 no artifact holds one. The positions of NaNs and infinities are the triple
@@ -48,7 +53,7 @@ payload, depending on the entry's position (numpy's vector loop and its
 scalar tail differ) and on the switch.
 
 ``stacked_matmul(a, b)`` computes the G products a[g] @ b[g] of a (G, m, K)
-and a (G, K, n) stack through the same ``_outer_sum``, with x (K, G, m) and
+and a (G, K, n) stack through the same ``_products``, with x (K, G, m) and
 y (K, G, n). Slice g is byte for byte ``matmul(a[g], b[g])``, and one call
 serves all G products, which pays where many small products share their
 shapes. ``matmul`` stays 2-D.
@@ -219,8 +224,9 @@ def as_matrix(data) -> np.ndarray:
 
 
 _FLOAT64 = np.dtype(np.float64)
-# einsum's subscripts for a 2-D product and for a stack of them.
-_SUBSCRIPTS = {2: "ki,kj->ij", 3: "kgi,kgj->gij"}
+# The kernel's subscripts: "..." is empty for a 2-D product and the stack
+# axis for a stack of them.
+_SUBSCRIPTS = "k...i,k...j->...ij"
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -232,7 +238,7 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         b = as_matrix(b)
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    return _outer_sum(a.T, b)
+    return _products(a.T, b)
 
 
 def stacked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -245,51 +251,60 @@ def stacked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             or a.shape[2] != b.shape[1]:
         raise ValueError(f"stacked_matmul shape mismatch: "
                          f"{a.shape} x {b.shape}")
-    return _outer_sum(a.transpose(2, 0, 1), b.transpose(1, 0, 2))
+    return _products(a.transpose(2, 0, 1), b.transpose(1, 0, 2))
 
 
-def _outer_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x.T @ y for K-row x and y, C-contiguous: the sum over k of the outer
-    products x[k] (x) y[k], k ascending from +0.0; for n < m, the transpose
-    of y.T @ x. x (K, m) and y (K, n) give (m, n); stacks x (K, G, m) and
-    y (K, G, n) give the G products as (G, m, n)."""
-    if y.shape[-1] < x.shape[-1]:
-        return np.ascontiguousarray(_outer_sum(y, x).swapaxes(-1, -2))
-    if y.shape[-1] > 1 and _einsum_is_the_loop():
-        return _einsum(x, y)
-    out = np.zeros((*x.shape[1:], y.shape[-1]))
-    for x_k, y_k in zip(x[..., None], y[..., None, :]):
-        out += x_k * y_k
-    return out
-
-
-def _einsum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``_outer_sum`` by numpy's C einsum loop, for n >= 2: y C-contiguous
-    and a C-order output make j the iterator's inner axis, so each entry is
-    ``out[i, j] += x[k, i] * y[k, j]``, k ascending from a zeroed output."""
+    products x[k] (x) y[k], k ascending from +0.0, by the bound `_kernel`
+    (`_k_loop` for an output of one value). x (K, m) and y (K, n) give
+    (m, n); stacks x (K, G, m) and y (K, G, n) give the G products as
+    (G, m, n). For n < m it sums y.T @ x and returns its transpose's copy."""
+    if switched := y.shape[-1] < x.shape[-1]:
+        x, y = y, x
+    y = y if y.flags.c_contiguous else np.ascontiguousarray(y)
     out = np.empty((*x.shape[1:], y.shape[-1]))
-    return np.einsum(_SUBSCRIPTS[x.ndim], x, np.ascontiguousarray(y),
-                     out=out, optimize=False)
+    (_kernel if y.shape[-1] > 1 else _k_loop)(_SUBSCRIPTS, x, y, out=out)
+    return out.swapaxes(-1, -2).copy() if switched else out
 
 
-@functools.cache
-def _einsum_is_the_loop() -> bool:
-    """Whether ``_einsum`` gives the k loop's bits on this numpy, 2-D and
-    stacked, checked once against left-to-right sums of Python-float
+def _k_loop(subscripts, x, y, out):
+    """The fallback sum, called as the C entry is: x[k] (x) y[k] added one
+    k at a time to a +0.0 start (Python's ``sum`` starts from 0), into
+    ``out``."""
+    out[...] = sum(p * q for p, q in zip(x[..., None], y[..., None, :]))
+
+
+def _bind(subscripts, x, y, out):
+    """The kernel until the first product: binds numpy's C einsum entry as
+    `_kernel` if it imports and gives the k loop's bits through
+    `_products`, 2-D and stacked, else `_k_loop`, then sums with what it
+    bound. The bits are checked against left-to-right sums of Python-float
     products: entry (0, 0) is -1 + (1 + 2^-30)^2, which is 2^-29 unfused
     and 2^-29 + 2^-60 under an FMA; entry (1, 1) adds a long run of terms
     whose sum changes with any other order."""
-    e = 2.0 ** -30
+    global _kernel
+    try:
+        from numpy._core.multiarray import c_einsum
+    except ImportError:  # a numpy without the entry
+        c_einsum = _k_loop
+    _kernel = c_einsum
     terms = [1e16, 1.0, -1e16, 1.0, 3.0, -2.0, 0.5, 1e-3] * 9
-    rows = [[-1.0, 1.0 + e] + [0.0] * len(terms), [0.0, 0.0] + terms]
-    cols = [[1.0, 1.0 + e] + terms[::-1], [1.0, 1.0] + [1.0] * len(terms)]
+    rows = [[-1.0, 1.0 + 2.0 ** -30] + [0.0] * len(terms), [0.0, 0.0] + terms]
+    cols = [[1.0, 1.0 + 2.0 ** -30] + terms[::-1], [1.0] * (2 + len(terms))]
     want = [[functools.reduce(operator.add, map(operator.mul, r, c), 0.0)
              for c in cols] for r in rows]
-    a = np.array([rows, rows])  # (G, m, K), read as matmul reads a
-    b = np.array([cols, cols]).transpose(0, 2, 1)  # (G, K, n)
-    return (_einsum(a[0].T, b[0]).tolist() == want
-            and _einsum(a.transpose(2, 0, 1), b.transpose(1, 0, 2)).tolist()
-            == [want, want])
+    # (K, G, m) and (K, G, n) stacks of two, as stacked_matmul makes them
+    a, b = (np.array([v, v]).transpose(2, 0, 1) for v in (rows, cols))
+    if [_products(a[:, 0], b[:, 0]).tolist(), *_products(a, b).tolist()] != \
+            [want] * 3:
+        _kernel = _k_loop
+    _kernel(subscripts, x, y, out=out)
+
+
+# What sums a product whose output holds more than one value: `_bind` until
+# the first such product, then numpy's C einsum entry or `_k_loop`.
+_kernel = _bind
 
 
 def all_finite(x: np.ndarray) -> bool:

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,26 @@ import pytest
 pytest.register_assert_rewrite("scalar_rng")
 
 from ilora_lab import Batch, Network, RngState, gaussian_fill
+
+# The benchmark's modules that tests load. hypothesis draws integer
+# constants from every loaded module, so each is loaded here, before any
+# test runs: a property file then tries the same examples alone and in the
+# whole suite.
+PERFBENCH_MODULES = ("tracing", "workloads")
+
+
+def load_perfbench(name):
+    """A module of the benchmark, loaded read-only from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+for _name in PERFBENCH_MODULES:
+    load_perfbench(_name)
 
 
 def make_tiny_net(seed=0, d=4, h=5, e=4, c=3, rank=2, alpha=4.0) -> Network:

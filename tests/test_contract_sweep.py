@@ -5,7 +5,7 @@ it covers: partial batches with rank 1 and two classes; hidden 300 and
 embed 160 with SGD, so training products have long rows and a long K;
 stratified replay. Per config, the five null-hyperparameter reductions
 hold byte for byte and a rerun from config_echo.json writes the same bytes.
-A wide ILORA run writes the same bytes through matmul's einsum loop and
+A wide ILORA run writes the same bytes through matmul's C einsum entry and
 through its k-loop fallback.
 """
 
@@ -112,29 +112,36 @@ def test_contract(name, tmp_path):
 
 def test_the_fallback_changes_no_byte(tmp_path, monkeypatch):
     # hidden 256 sends the K=256 second layer, its stacked slow-memory
-    # twin and the dW2 products through einsum; the same run with the
-    # einsum probe failed (every product in the k loop) writes the same
-    # bytes
+    # twin and the dW2 products through numpy's C einsum entry; the same
+    # run with the entry's import failed (every product in the k loop)
+    # writes the same bytes
     path = tmp_path / "config.json"
     path.write_text(json.dumps(draw_config(
         304, "ILORA", {"tasks": 2, "input_dim": 8, "classes": 3,
                        "n_train": 95},
         {"hidden": 256, "embed": 16, "rank": 4, "pretrain_batch": 32},
         {"epochs": 1, "batch_size": 32})))
-    einsum = np.einsum
+    multiarray = np._core.multiarray
+    c_einsum = multiarray.c_einsum
     calls = []
 
     def count(*args, **kwargs):
         calls.append(None)
-        return einsum(*args, **kwargs)
+        return c_einsum(*args, **kwargs)
 
-    monkeypatch.setattr(np, "einsum", count)
     products = []
-    for out, probe in (("a", numerics._einsum_is_the_loop),
-                       ("b", lambda: False)):
-        monkeypatch.setattr(numerics, "_einsum_is_the_loop", probe)
+    kernels = []
+    for out, entry in (("a", count), ("b", None)):
+        # the run's first product probes the entry and binds the kernel
+        monkeypatch.setattr(numerics, "_kernel", numerics._bind)
+        if entry is None:
+            monkeypatch.delattr(multiarray, "c_einsum")
+        else:
+            monkeypatch.setattr(multiarray, "c_einsum", entry)
         calls.clear()
         assert main(["run", str(path), "--out", str(tmp_path / out)]) == 0
         products.append(len(calls))
+        kernels.append(numerics._kernel)
     assert products[0] > 100 and products[1] == 0
+    assert kernels == [count, numerics._k_loop]
     assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")

@@ -8,9 +8,8 @@ the 8 classes from which softmax's per-row sum is pairwise. NaNs are left
 out: any NaN ends a run with exit 4.
 
 hypothesis runs derandomized and without an example database, so a run of
-the same command on the same tree tries the same examples. (hypothesis also
-mixes in integer constants it finds in the loaded local modules, so running
-this file alone tries other examples than the whole suite does.)
+the same command on the same tree tries the same examples, alone or in the
+whole suite (see `tests/test_rng_property.py`).
 """
 
 from unittest import mock

@@ -365,17 +365,17 @@ def training_forward(net, theta, X):
 
 
 def spy_switches(monkeypatch):
-    """The (x, y) shapes of every `_outer_sum` call that switches
-    orientation (y.shape[-1] < x.shape[-1]), its own recursion included."""
+    """The (x, y) shapes of every `_products` call that switches
+    orientation (y.shape[-1] < x.shape[-1])."""
     switched = []
-    real = numerics._outer_sum
+    real = numerics._products
 
     def spy(x, y):
         if y.shape[-1] < x.shape[-1]:
             switched.append((x.shape, y.shape))
         return real(x, y)
 
-    monkeypatch.setattr(numerics, "_outer_sum", spy)
+    monkeypatch.setattr(numerics, "_products", spy)
     return switched
 
 

@@ -3,6 +3,7 @@ import types
 
 import numpy as np
 import pytest
+from numpy._core.multiarray import c_einsum
 
 from ilora_lab import (Batch, RngState, finite_diff_grad, gaussian_fill,
                        matmul, numerics)
@@ -85,18 +86,20 @@ def assert_bit_equal_to_loop(a, b, rng, max_full=4096, samples=16):
 
 
 def spy_einsum(monkeypatch, fail_at=0):
-    """Record (x shape, y shape, buffer size) of every np.einsum call;
-    raise FloatingPointError at call number fail_at."""
+    """Record (x shape, y shape, buffer size) of every call of the bound
+    kernel, numpy's C einsum entry; raise FloatingPointError at call number
+    fail_at."""
+    matmul(np.ones((1, 2)), np.ones((2, 2)))  # binds the kernel
+    assert numerics._kernel is c_einsum
     calls = []
-    einsum = np.einsum
 
     def spy(subscripts, x, y, **kwargs):
         calls.append((x.shape, y.shape, np.getbufsize()))
         if len(calls) == fail_at:
             raise FloatingPointError("injected")
-        return einsum(subscripts, x, y, **kwargs)
+        return c_einsum(subscripts, x, y, **kwargs)
 
-    monkeypatch.setattr(np, "einsum", spy)
+    monkeypatch.setattr(numerics, "_kernel", spy)
     return calls
 
 
@@ -477,60 +480,60 @@ class TestStackedMatmul:
         assert np.getbufsize() == 4096
 
 
-REAL_EINSUM = np.einsum
-
-
-def blas_einsum(subscripts, x, y, out, optimize):
+def blas_einsum(subscripts, x, y, out):
     """A stand-in that hands the product to BLAS, which fuses and reorders."""
     out[...] = np.matmul(np.moveaxis(x, 0, -1), np.moveaxis(y, 0, -2))
     return out
 
 
-def fused_einsum(subscripts, x, y, out, optimize):
+def fused_einsum(subscripts, x, y, out):
     """A stand-in that rounds each sum once, from extended precision, as a
     fused multiply-add does."""
-    out[...] = REAL_EINSUM(subscripts, x.astype(np.longdouble),
-                           y.astype(np.longdouble), optimize=optimize)
+    out[...] = c_einsum(subscripts, x.astype(np.longdouble),
+                        y.astype(np.longdouble))
     return out
 
 
-def dot_einsum(subscripts, x, y, out, optimize):
+def dot_einsum(subscripts, x, y, out):
     """A stand-in that makes k y's contiguous axis, so einsum runs its
     vector dot loop over k, which sums in another order."""
-    return REAL_EINSUM(subscripts, x, y.copy(order="F"), out=out,
-                       optimize=optimize)
+    return c_einsum(subscripts, x, y.copy(order="F"), out=out)
 
 
-def stacked_dot_einsum(subscripts, x, y, out, optimize):
+def stacked_dot_einsum(subscripts, x, y, out):
     """A stand-in that reorders stacks only: 2-D products are einsum's."""
     if x.ndim == 2:
-        return REAL_EINSUM(subscripts, x, y, out=out, optimize=optimize)
-    return dot_einsum(subscripts, x, y, out, optimize)
+        return c_einsum(subscripts, x, y, out=out)
+    return dot_einsum(subscripts, x, y, out)
 
 
 class TestEinsumProbe:
-    """``_einsum_is_the_loop`` accepts this numpy's einsum and rejects a
-    fused or reordering one; then every product takes the k loop, which
-    gives the same bits."""
+    """The first product binds numpy's C einsum entry as the kernel when
+    the probe passes it, and the k loop when the probe rejects a fused or
+    reordering entry or the entry does not import; then every product
+    takes the k loop, which gives the same bits."""
 
     @pytest.fixture
-    def fresh_probe(self):
-        numerics._einsum_is_the_loop.cache_clear()
-        yield
-        numerics._einsum_is_the_loop.cache_clear()
+    def fresh_probe(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_kernel", numerics._bind)
 
     def test_this_numpy_passes(self, fresh_probe):
-        assert numerics._einsum_is_the_loop()
+        assert (matmul(np.ones((2, 3)), np.ones((3, 4))) == 3.0).all()
+        assert numerics._kernel is c_einsum
 
     @pytest.mark.parametrize("stand_in", [blas_einsum, fused_einsum,
                                           dot_einsum, stacked_dot_einsum])
     def test_a_fused_or_reordering_einsum_is_rejected(
             self, monkeypatch, fresh_probe, stand_in):
         calls = []
-        monkeypatch.setattr(np, "einsum",
-                            lambda *args, **kw: calls.append(args[0])
-                            or stand_in(*args, **kw))
-        assert not numerics._einsum_is_the_loop()
+
+        def spy(*args, **kw):
+            calls.append(args[0])
+            return stand_in(*args, **kw)
+
+        monkeypatch.setattr(np._core.multiarray, "c_einsum", spy)
+        assert (matmul(np.ones((2, 2)), np.ones((2, 2))) == 2.0).all()
+        assert numerics._kernel is numerics._k_loop
         probed = len(calls)
         assert probed >= 1
         rng = np.random.default_rng(61)
@@ -547,11 +550,21 @@ class TestEinsumProbe:
 
     def test_the_fallback_keeps_a_golden_digest(self, monkeypatch, tmp_path,
                                                 fresh_probe):
-        monkeypatch.setattr(np, "einsum", blas_einsum)
-        assert not numerics._einsum_is_the_loop()
+        monkeypatch.setattr(np._core.multiarray, "c_einsum", blas_einsum)
         golden = json.loads(GOLDEN.read_text())
         assert run_digests(tmp_path, "default", "ILORA") == \
             golden["default/ILORA"]
+        assert numerics._kernel is numerics._k_loop
+
+    def test_a_missing_c_entry_keeps_a_golden_digest(self, monkeypatch,
+                                                     tmp_path, fresh_probe):
+        monkeypatch.delattr(np._core.multiarray, "c_einsum")
+        with pytest.raises(ImportError):
+            from numpy._core.multiarray import c_einsum  # noqa: F401
+        golden = json.loads(GOLDEN.read_text())
+        assert run_digests(tmp_path, "default", "ILORA") == \
+            golden["default/ILORA"]
+        assert numerics._kernel is numerics._k_loop
 
 
 class TestMatmulOperands:

@@ -1,12 +1,13 @@
+import ast
 import importlib
-import importlib.util
 import json
-import sys
 import types
 from pathlib import Path
 
 import ilora_lab
 from ilora_lab.cli import main
+
+from conftest import PERFBENCH_MODULES, load_perfbench
 
 
 def test_all_lists_only_the_public_api():
@@ -20,14 +21,18 @@ def test_all_lists_only_the_public_api():
     assert len(ilora_lab.__all__) == len(exported)
 
 
-def load_perfbench(name):
-    """A module of the benchmark, loaded read-only from its file."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
+def test_conftest_loads_every_perfbench_module_tests_load():
+    """Every `load_perfbench` call in the test files names a module that
+    conftest loads before any test runs, as a literal."""
+    names = []
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and \
+                    getattr(node.func, "id", None) == "load_perfbench":
+                assert len(node.args) == 1 and \
+                    isinstance(node.args[0], ast.Constant), path.name
+                names.append(node.args[0].value)
+    assert names and set(names) <= set(PERFBENCH_MODULES), names
 
 
 def test_benchmark_trace_targets_resolve():

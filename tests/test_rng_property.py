@@ -4,9 +4,11 @@ is, so the next uniforms match too.
 
 hypothesis runs derandomized and without an example database, so a run of
 the same command on the same tree tries the same examples. (hypothesis also
-mixes in integer constants it finds in the loaded local modules, so running
-this file alone tries other examples than the whole suite does.) A missing
-hypothesis fails this module's import; it is not skipped.
+mixes in integer constants it finds in the loaded local modules. conftest
+loads every module that tests load at run time before any test runs, so
+this file alone and the whole suite try the same examples; editing a
+constant in a loaded module changes them.) A missing hypothesis fails this
+module's import; it is not skipped.
 """
 
 import numpy as np

@@ -17,7 +17,7 @@ WRAPPERS = {"sum", "mean", "max", "min", "all", "any", "prod", "amax",
             "amin"}
 
 STEP_PATH = {
-    "numerics.py": ("matmul", "_outer_sum", "all_finite"),
+    "numerics.py": ("matmul", "_products", "_k_loop", "all_finite"),
     "model.py": ("softmax", "_head", "_head_loss", "_embed_cached",
                  "_embed_transposed", "_product", "_effective_weights",
                  "_hidden_backward", "_adapter_grads", "_check_finite",
