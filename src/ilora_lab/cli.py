@@ -23,8 +23,9 @@ from .artifacts import (SavedRun, claim_run_dir,  # noqa: F401
                         write_csv, write_run)
 from .bench import ArchConfig, TaskSpec
 from .connectivity import (LAMBDA_GRID_POINTS, default_lambda_grid,
-                           embeddings, landscape_grid, linear_cka,
-                           sweep_lambda, weight_distance)
+                           landscape_grid, linear_cka, sweep_lambda,
+                           weight_distance)
+from .model import embed
 from .numerics import RngState, check_seed
 from .strategies import StrategyConfig, run_sequence
 
@@ -226,9 +227,9 @@ def cmd_probe(run_dir: str, kind: str, transition: int | None,
             rows.append((t, wd[0], wd[-1]))  # single memory: WD_l is WD_w
         write_csv(run.out / "wd.csv", "transition,WD_w,WD_l", rows)
     elif kind == "cka":
-        zs = list(embeddings(run.net, (run.params(t, "working")
-                                       for t in range(1, T + 1)),
-                             run.evals()[0].X))
+        X = np.asfortranarray(run.evals()[0].X)  # no embed copies X.T
+        zs = [embed(run.net, run.params(t, "working"), X)
+              for t in range(1, T + 1)]
         write_csv(run.out / "cka.csv", "transition,cka",
                   [(t, linear_cka(zs[t - 1], zs[t])) for t in range(1, T)])
     else:

@@ -4,21 +4,14 @@ embedding-deviation landscape.
 
 The sweep, CKA and landscape probes run the model's feature-major inference
 forward, through ``model.forward`` (the sweep's accuracies) or
-``model.embed`` (CKA and the landscape). The CKA and landscape probes embed
-one probe batch under many parameter vectors. ``embeddings`` runs them in
-blocks through ``model.embed``, one stacked forward per block; a block
-holds as many vectors as keep its (G*hidden, rows) first-layer activations
-within ``_STACK_ELEMS`` values. Each embedding it yields is a C-contiguous
-(rows, e) array with the bytes ``embed`` gives for its vector alone, so a
-reduction over it, such as the landscape's mean, groups its terms the same
-way; numpy's pairwise sum over a strided view would group them differently
-and change the bits.
+``model.embed`` (CKA and the landscape), one parameter vector at a time.
+``embed`` returns a C-contiguous (rows, e) array, and the landscape's mean
+reduces it in that layout: numpy's pairwise sum groups its terms by memory
+layout, so a strided view would change the bits.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,44 +122,25 @@ def linear_cka(X: np.ndarray, Y: np.ndarray) -> float:
     return float(cross / (xnorm * ynorm))
 
 
-# Element budget of one block of stacked embeddings: the block's (G*hidden,
-# rows) first-layer activations stay near 64k float64 values, 512 KB;
-# 8 points at 256 rows and hidden 32.
-_STACK_ELEMS = 1 << 16
-
-
-def embeddings(net: Network, thetas: Iterable[np.ndarray],
-               X: np.ndarray) -> Iterator[np.ndarray]:
-    """``embed(net, theta, X)`` for each theta in turn, byte for byte,
-    computed a block of thetas at a time through one stacked forward. Each
-    yielded (rows, e) embedding is C-contiguous, so a reduction over it
-    groups its terms as it would over ``embed``'s own array."""
-    size = max(1, _STACK_ELEMS // (len(X) * net.h))
-    thetas = iter(thetas)
-    while block := list(itertools.islice(thetas, size)):
-        yield from embed(net, np.stack(block), X)
-
-
 def landscape_grid(theta0: np.ndarray, d1: np.ndarray, d2: np.ndarray,
                    a_grid, b_grid, net: Network, probe: Batch) -> LandscapeGrid:
     """Mean squared embedding deviation of theta0 + a*d1 + b*d2 from theta0
     over a probe batch; exactly zero at the origin by construction.
 
-    The points are walked row-major and embedded in blocks (``embeddings``);
-    each value is ``np.mean``'s bytes over its own C-contiguous (rows, e)
-    deviation array, the one a per-point ``embed`` gives, without the
-    wrapper: ``np.add.reduce(sq, axis=None) / sq.size``.
+    The points are walked row-major and embedded one at a time; each value
+    is ``np.mean``'s bytes over the point's C-contiguous (rows, e) deviation
+    array, without the wrapper: ``np.add.reduce(sq, axis=None) / sq.size``.
     """
     if theta0.shape != d1.shape or theta0.shape != d2.shape:
         raise ValueError("parameter layout mismatch")
     a_grid = np.asarray(a_grid, dtype=np.float64)
     b_grid = np.asarray(b_grid, dtype=np.float64)
-    z0 = embed(net, theta0, probe.X)
+    X = np.asfortranarray(probe.X)  # so no embed copies its transpose
+    z0 = embed(net, theta0, X)
     values = np.zeros((len(a_grid), len(b_grid)))
-    points = [(i, j) for i, a in enumerate(a_grid)
-              for j, b in enumerate(b_grid) if a != 0.0 or b != 0.0]
-    thetas = (theta0 + a_grid[i] * d1 + b_grid[j] * d2 for i, j in points)
-    for (i, j), z in zip(points, embeddings(net, thetas, probe.X)):
-        sq = (z - z0) ** 2
-        values[i, j] = np.add.reduce(sq, axis=None) / sq.size
+    for i, a in enumerate(a_grid):
+        for j, b in enumerate(b_grid):
+            if a != 0.0 or b != 0.0:
+                sq = (embed(net, theta0 + a * d1 + b * d2, X) - z0) ** 2
+                values[i, j] = np.add.reduce(sq, axis=None) / sq.size
     return LandscapeGrid(a_grid, b_grid, values)

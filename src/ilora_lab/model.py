@@ -16,18 +16,16 @@ Two forwards, each in the layout its consumers want:
   changes bits with the layout from 8 classes up.
 - inference, ``_embed_transposed``, is feature-major: h1.T = relu(W1eff
   X.T + b1), z.T = W2eff h1.T + b2 and, in ``forward``, logits.T = Whead
-  z.T + bhead as (features, rows), or, for ``embed``, (G, features, rows)
-  under (G, ...) stacks of effective weights. The rows are every product's
-  output rows, so a batch with at least as many rows as a layer has
-  outputs (G*hidden for a stack's first layer) switches orientation in no
-  layer's ``matmul``, and under a vector every layer reads its K-row input
-  contiguously; the row-major forward switches in each layer of such a
-  batch and gathers each strided input. Slice g of a stack has the bytes
-  of the pair W1eff[g], W2eff[g] (each entry of a product is its own sum).
+  z.T + bhead as (features, rows). The batch's rows are every product's
+  output columns, so a batch with at least as many rows as a layer has
+  outputs switches orientation in no layer's ``matmul``, and every layer
+  reads its K-row input contiguously; the row-major forward switches in each layer
+  of such a batch and gathers each strided input.
 
 Both compute every entry as the same k-ascending sum, so the two give the
 same bytes; ``embed`` copies its result to row order, ``forward`` returns
-transposed views. Only parameter stacks reach ``_product``'s stacked kernel.
+transposed views. Every product is a 2-D ``matmul`` of one parameter
+vector's arrays.
 
 One chain rule, ``_adapter_grads``, takes weight gradients to the adapters
 (dA = s B.T dW, dB = s dW A.T, s = alpha/rank): a stack of one for each
@@ -41,8 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (RngState, all_finite, gaussian_fill, matmul,
-                       stacked_matmul)
+from .numerics import RngState, all_finite, gaussian_fill, matmul
 
 ADAPTER_INIT_STD = 0.02
 
@@ -126,18 +123,15 @@ def _backbone_layout(d: int, h: int, e: int, c: int):
 
 
 def _views(vec: np.ndarray, layout, what: str) -> list[np.ndarray]:
-    """Views of the layout's arrays in the flat vector, or (G, ...) stacks
-    of them from the rows of a (G, P) stack of vectors; no copies."""
-    lead = vec.shape[:-1]
+    """Views of the layout's arrays in the 1-D flat vector; no copies."""
     cuts = []
     stop = 0
     for shape, _ in layout:
         start, stop = stop, stop + math.prod(shape)
-        cuts.append((start, stop, lead + shape))
-    if vec.ndim not in (1, 2) or vec.shape[-1] != stop:
+        cuts.append((start, stop, shape))
+    if vec.shape != (stop,):
         raise ValueError(f"{what} length {vec.shape} != ({stop},)")
-    return [vec[..., start:stop].reshape(shape)
-            for start, stop, shape in cuts]
+    return [vec[start:stop].reshape(shape) for start, stop, shape in cuts]
 
 
 def _init(rng: RngState, layout) -> np.ndarray:
@@ -152,8 +146,7 @@ def param_length(net: Network) -> int:
 
 
 def split_params(net: Network, theta: np.ndarray):
-    """Views (A1, B1, A2, B2) into the flat vector, or (G, ...) stacks of
-    them from the rows of a (G, P) stack of vectors; no copies."""
+    """Views (A1, B1, A2, B2) into the flat vector; no copies."""
     return _views(theta, _adapter_layout(net), "parameter vector")
 
 
@@ -167,16 +160,10 @@ def init_params(net: Network, rng: RngState) -> np.ndarray:
     return _init(rng, _adapter_layout(net))
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b of two matrices, or the G products of two (G, ...) stacks."""
-    return matmul(a, b) if a.ndim == 2 else stacked_matmul(a, b)
-
-
 def _effective_weights(net: Network, A1, B1, A2, B2):
-    """Adapted weight matrices from the four adapter factors, or (G, ...)
-    stacks of them from stacks of factors."""
-    W1eff = net.W1 + net.scaling * _product(B1, A1)
-    W2eff = net.W2 + net.scaling * _product(B2, A2)
+    """Adapted weight matrices from the four adapter factors."""
+    W1eff = net.W1 + net.scaling * matmul(B1, A1)
+    W2eff = net.W2 + net.scaling * matmul(B2, A2)
     return W1eff, W2eff
 
 
@@ -198,18 +185,16 @@ def _head(net: Network, z: np.ndarray) -> np.ndarray:
 
 def _embed_transposed(net: Network, theta: np.ndarray, X: np.ndarray):
     """The inference forward: transposed embedding (e, n) and hidden
-    activation (h, n) of an (n, d) batch under a vector theta, or (G, e, n)
-    and (G, h, n) under a (G, P) stack. X is transposed to C order, which
-    copies nothing when X is column-major. Raises ArithmeticError on a
-    non-finite embedding."""
+    activation (h, n) of an (n, d) batch under a vector theta. X is
+    transposed to C order, which copies nothing when X is column-major.
+    Raises ArithmeticError on a non-finite embedding."""
     if X.ndim != 2 or X.shape[1] != net.d:
         raise ValueError(f"input shape {X.shape} != (n, {net.d})")
     W1eff, W2eff = _effective_weights(net, *split_params(net, theta))
-    h1 = matmul(W1eff.reshape(-1, net.d), np.ascontiguousarray(X.T))
-    h1 = h1.reshape(*W1eff.shape[:-1], len(X))
+    h1 = matmul(W1eff, np.ascontiguousarray(X.T))
     h1 += net.b1[:, None]
     np.maximum(h1, 0.0, out=h1)
-    z = _product(W2eff, h1)
+    z = matmul(W2eff, h1)
     z += net.b2[:, None]
     if not all_finite(z):
         raise ArithmeticError("non-finite embedding")
@@ -217,18 +202,11 @@ def _embed_transposed(net: Network, theta: np.ndarray, X: np.ndarray):
 
 
 def embed(net: Network, theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Pre-head embedding of an (n, d) input batch; the head is not run. A
-    vector theta (P,) gives a C-contiguous (n, e) array, a (G, P) stack a
-    (G, n, e) one whose slice g is the embedding of theta[g]: the inference
-    forward's result copied to row order once. Raises ArithmeticError on a
-    non-finite embedding."""
-    z, h1 = _embed_transposed(net, theta, X)
-    # Copied while h1 is alive. Freed first, h1's block would take the copy
-    # and leave the forward's temporaries free at the top of the C heap,
-    # which malloc hands back to the system; a landscape's next block then
-    # faults them in again (2,000-4,000 more page faults and 10-25% more
-    # time per `probe landscape`, measured on glibc).
-    return np.ascontiguousarray(z.swapaxes(-1, -2))
+    """Pre-head embedding (n, e) of an (n, d) input batch under a vector
+    theta; the head is not run. The inference forward's result copied to
+    row order, C-contiguous. Raises ArithmeticError on a non-finite
+    embedding."""
+    return np.ascontiguousarray(_embed_transposed(net, theta, X)[0].T)
 
 
 def forward(net: Network, theta: np.ndarray, X: np.ndarray):
@@ -388,8 +366,6 @@ def backbone_from_vector(vec: np.ndarray, d: int, h: int, e: int, c: int,
                          rank: int, alpha: float) -> Network:
     """Network with input d, hidden h, embedding e and c classes whose arrays
     are views into the 1-D vec; copy vec first if it will be mutated."""
-    if vec.ndim != 1:
-        raise ValueError(f"backbone vector must be 1-D, not {vec.shape}")
     return Network(*_views(vec, _backbone_layout(d, h, e, c),
                            f"backbone vector (d={d} h={h} e={e} c={c})"),
                    rank=rank, alpha=alpha)

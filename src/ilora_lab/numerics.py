@@ -2,9 +2,10 @@
 
 All numeric state is float64 numpy. The matmul kernel accumulates over the
 inner dimension in ascending order so results are bit-identical to a naive
-triple loop (up to NaN payloads, below), whatever the BLAS build. An
-operand that is already a 2-D float64 ndarray is used as it is; anything
-else goes through ``as_matrix``.
+triple loop (up to NaN payloads, below), whatever the BLAS build. It is
+the package's one product, and it is 2-D: an operand that is already a 2-D
+float64 ndarray is used as it is; anything else goes through
+``as_matrix``, which refuses any other rank.
 
 The product is the sum over k of the outer products of column k of a and
 row k of b: ``_products(a.T, b)``, the sum over k of x[k] (x) y[k] for
@@ -29,15 +30,14 @@ an add, so a ``-0.0`` total comes out ``+0.0``. numpy 2.4.6 builds its
 einsum loops for the x86-64-v2 baseline, which has no FMA, and the SIMD
 level does not change them. ``order="C"`` would put k innermost, where a
 contiguous k runs numpy's vector dot loop, which sums in another order.
-Stacks take the same call: the subscripts' ``...`` is their stack axis.
 
 The entry is private to numpy and the rule rests on how numpy builds it,
 so the first product binds the kernel, once per process: ``_bind``
 imports the entry, makes it ``_kernel`` and checks it through
-``_products``, 2-D and stacked, against left-to-right sums of Python-float
-products. -1 + (1 + 2^-30)^2 must come out 2^-29, which an FMA would not
-give, and a long sum of 1e16, 1, -1e16, ... must match, which any other
-order would not. If the import fails (a numpy without the entry) or the
+``_products`` against left-to-right sums of Python-float products.
+-1 + (1 + 2^-30)^2 must come out 2^-29, which an FMA would not give, and a
+long sum of 1e16, 1, -1e16, ... must match, which any other order would
+not. If the import fails (a numpy without the entry) or the
 check does (a build whose baseline fuses the multiply-add, say),
 ``_kernel`` is ``_k_loop`` for good. ``_k_loop`` serves a 1x1 output too,
 where n >= 2 cannot hold: it adds ``x[k] * y[k]`` into a zeroed output one
@@ -51,12 +51,6 @@ product as ``product + total``, so a NaN product carries its own payload
 past a NaN total, and a product of two NaNs carries either factor's
 payload, depending on the entry's position (numpy's vector loop and its
 scalar tail differ) and on the switch.
-
-``stacked_matmul(a, b)`` computes the G products a[g] @ b[g] of a (G, m, K)
-and a (G, K, n) stack through the same ``_products``, with x (K, G, m) and
-y (K, G, n). Slice g is byte for byte ``matmul(a[g], b[g])``, and one call
-serves all G products, which pays where many small products share their
-shapes. ``matmul`` stays 2-D.
 
 The kernel does not check finiteness; the model checks its losses,
 gradients, logits and embeddings once per call instead, with ``all_finite``.
@@ -224,9 +218,7 @@ def as_matrix(data) -> np.ndarray:
 
 
 _FLOAT64 = np.dtype(np.float64)
-# The kernel's subscripts: "..." is empty for a 2-D product and the stack
-# axis for a stack of them.
-_SUBSCRIPTS = "k...i,k...j->...ij"
+_SUBSCRIPTS = "ki,kj->ij"
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -241,48 +233,34 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _products(a.T, b)
 
 
-def stacked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The G products a[g] @ b[g] of a (G, m, K) and a (G, K, n) float64
-    stack as one C-contiguous (G, m, n) array, each bit-equal to
-    ``matmul(a[g], b[g])``."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] \
-            or a.shape[2] != b.shape[1]:
-        raise ValueError(f"stacked_matmul shape mismatch: "
-                         f"{a.shape} x {b.shape}")
-    return _products(a.transpose(2, 0, 1), b.transpose(1, 0, 2))
-
-
 def _products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x.T @ y for K-row x and y, C-contiguous: the sum over k of the outer
     products x[k] (x) y[k], k ascending from +0.0, by the bound `_kernel`
     (`_k_loop` for an output of one value). x (K, m) and y (K, n) give
-    (m, n); stacks x (K, G, m) and y (K, G, n) give the G products as
-    (G, m, n). For n < m it sums y.T @ x and returns its transpose's copy."""
-    if switched := y.shape[-1] < x.shape[-1]:
+    (m, n). For n < m it sums y.T @ x and returns its transpose's copy."""
+    if switched := y.shape[1] < x.shape[1]:
         x, y = y, x
     y = y if y.flags.c_contiguous else np.ascontiguousarray(y)
-    out = np.empty((*x.shape[1:], y.shape[-1]))
-    (_kernel if y.shape[-1] > 1 else _k_loop)(_SUBSCRIPTS, x, y, out=out)
-    return out.swapaxes(-1, -2).copy() if switched else out
+    out = np.empty((x.shape[1], y.shape[1]))
+    (_kernel if y.shape[1] > 1 else _k_loop)(_SUBSCRIPTS, x, y, out=out)
+    return out.T.copy() if switched else out
 
 
 def _k_loop(subscripts, x, y, out):
     """The fallback sum, called as the C entry is: x[k] (x) y[k] added one
     k at a time to a +0.0 start (Python's ``sum`` starts from 0), into
     ``out``."""
-    out[...] = sum(p * q for p, q in zip(x[..., None], y[..., None, :]))
+    out[...] = sum(p * q for p, q in zip(x[:, :, None], y[:, None, :]))
 
 
 def _bind(subscripts, x, y, out):
     """The kernel until the first product: binds numpy's C einsum entry as
     `_kernel` if it imports and gives the k loop's bits through
-    `_products`, 2-D and stacked, else `_k_loop`, then sums with what it
-    bound. The bits are checked against left-to-right sums of Python-float
-    products: entry (0, 0) is -1 + (1 + 2^-30)^2, which is 2^-29 unfused
-    and 2^-29 + 2^-60 under an FMA; entry (1, 1) adds a long run of terms
-    whose sum changes with any other order."""
+    `_products`, else `_k_loop`, then sums with what it bound. The bits are
+    checked against left-to-right sums of Python-float products: entry
+    (0, 0) is -1 + (1 + 2^-30)^2, which is 2^-29 unfused and 2^-29 + 2^-60
+    under an FMA; entry (1, 1) adds a long run of terms whose sum changes
+    with any other order."""
     global _kernel
     try:
         from numpy._core.multiarray import c_einsum
@@ -294,10 +272,7 @@ def _bind(subscripts, x, y, out):
     cols = [[1.0, 1.0 + 2.0 ** -30] + terms[::-1], [1.0] * (2 + len(terms))]
     want = [[functools.reduce(operator.add, map(operator.mul, r, c), 0.0)
              for c in cols] for r in rows]
-    # (K, G, m) and (K, G, n) stacks of two, as stacked_matmul makes them
-    a, b = (np.array([v, v]).transpose(2, 0, 1) for v in (rows, cols))
-    if [_products(a[:, 0], b[:, 0]).tolist(), *_products(a, b).tolist()] != \
-            [want] * 3:
+    if _products(np.array(rows).T, np.array(cols).T).tolist() != want:
         _kernel = _k_loop
     _kernel(subscripts, x, y, out=out)
 

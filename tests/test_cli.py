@@ -573,23 +573,24 @@ class TestProbeCommand:
 
     def test_cka_embeds_each_checkpoint_once(self, seq_run, tmp_path,
                                              monkeypatch):
-        from ilora_lab import connectivity
+        from ilora_lab import cli
         from ilora_lab.artifacts import SavedRun
         run = copy_run(seq_run, tmp_path)
-        stacked = []
-        real = connectivity.embed
+        embedded = []
+        real = cli.embed
 
-        def spy(net, thetas, X):
-            stacked.append(thetas.shape[:-1])
-            return real(net, thetas, X)
+        def spy(net, theta, X):
+            embedded.append(theta.tobytes())
+            return real(net, theta, X)
 
-        monkeypatch.setattr(connectivity, "embed", spy)
+        monkeypatch.setattr(cli, "embed", spy)
         assert main(["probe", str(run), "cka"]) == 0
         T = SMALL_CONFIG["stream"]["tasks"]
-        assert stacked == [(T,)]
         # the bytes of embedding each pair's checkpoints on their own
         saved = SavedRun(run, validate_config(SMALL_CONFIG))
         X = saved.evals()[0].X
+        assert embedded == [saved.params(t, "working").tobytes()
+                            for t in range(1, T + 1)]
         rows = [(t, linear_cka(embed(saved.net, saved.params(t, "working"), X),
                                embed(saved.net, saved.params(t + 1, "working"),
                                      X)))

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from ilora_lab import (RngState, connectivity, default_lambda_grid, embed,
-                       gaussian_fill, interpolate, landscape_grid, linear_cka,
+from ilora_lab import (RngState, default_lambda_grid, embed, gaussian_fill,
+                       interpolate, landscape_grid, linear_cka,
                        predict_accuracy, sweep_lambda, weight_distance)
 
 from conftest import make_batch, make_tiny_net, random_theta
@@ -203,20 +203,14 @@ class TestLandscapeGrid:
                     values[i, j] = np.mean((z - z0) ** 2)
         return values
 
-    # (net shape, probe rows, a points, b points, block budget): one point
-    # per block and a block holding every point; blocks of 3 and 7 that end
-    # mid-grid; 256 rows at the default shapes, 8 points a block, so the
-    # stacked k loops run, and 110 points end in a block of 6
-    CASES = ((dict(), 6, 1, 1, None), (dict(), 6, 3, 4, 6 * 5),
-             (dict(), 6, 5, 5, None), (dict(), 20, 4, 5, 3 * 20 * 5),
-             (dict(rank=3), 33, 7, 3, 7 * 33 * 5),
-             (dict(d=16, h=32, e=16, rank=8), 256, 11, 10, None))
+    # (net shape, probe rows, a points, b points): one point, grids with
+    # and without the origin, and 256 rows at the default shapes
+    CASES = ((dict(), 6, 1, 1), (dict(), 6, 3, 4), (dict(), 6, 5, 5),
+             (dict(), 20, 4, 5), (dict(rank=3), 33, 7, 3),
+             (dict(d=16, h=32, e=16, rank=8), 256, 11, 10))
 
-    def test_matches_direct_evaluation(self, monkeypatch):
-        default = connectivity._STACK_ELEMS
-        for shape, rows, na, nb, budget in self.CASES:
-            monkeypatch.setattr(connectivity, "_STACK_ELEMS",
-                                budget or default)
+    def test_matches_direct_evaluation(self):
+        for shape, rows, na, nb in self.CASES:
             net = make_tiny_net(**shape)
             theta = random_theta(net, seed=5, std=0.3)
             d1 = random_theta(net, seed=6, std=0.1)

@@ -1,5 +1,5 @@
-"""The kernel contract as a property: `matmul` and `stacked_matmul` give
-the triple loop's bits for any shapes, on both sides of the orientation
+"""The kernel contract as a property: `matmul` gives the triple loop's
+bits for any shapes, on both sides of the orientation
 switch, in C and Fortran order, with signed zeros; and a fixed set of
 products gives the same bytes at numpy's default SIMD level and with
 AVX-512 and x86-64-v3 turned off.
@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ilora_lab import matmul
-from ilora_lab.numerics import stacked_matmul
 
 from test_numerics import loop_sum
 
@@ -38,17 +37,15 @@ def loop_product(a, b):
 
 @st.composite
 def products(draw):
-    """(G, m, K, n), with G = 0 for a 2-D product, and values with signed
-    zeros and a wide spread of magnitudes, in C or Fortran order."""
-    G = draw(st.integers(0, 3))
+    """(m, K) and (K, n) operands with signed zeros and a wide spread of
+    magnitudes, in C or Fortran order."""
     # both orientations of the switch, 1x1 and one-row outputs included
     m, n = draw(st.integers(1, 24)), draw(st.integers(1, 24))
     K = draw(st.one_of(st.integers(0, 8), st.integers(9, 300)))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
-    shapes = ((m, K), (K, n)) if G == 0 else ((G, m, K), (G, K, n))
     out = []
-    for shape in shapes:
+    for shape in ((m, K), (K, n)):
         x = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
         hit = rng.random(shape) < 0.2
         x[hit] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[hit]
@@ -60,11 +57,7 @@ def products(draw):
 @given(products())
 def test_any_product_gives_the_loop_bits(operands):
     a, b = operands
-    if a.ndim == 2:
-        out, want = matmul(a, b), loop_product(a, b)
-    else:
-        out = stacked_matmul(a, b)
-        want = np.stack([loop_product(x, y) for x, y in zip(a, b)])
+    out, want = matmul(a, b), loop_product(a, b)
     assert out.flags.c_contiguous
     assert out.shape == want.shape
     assert out.tobytes() == want.tobytes()
@@ -76,15 +69,16 @@ import numpy as np
 sys.path.insert(0, {str(SRC)!r})
 from numpy._core.multiarray import c_einsum
 from ilora_lab import numerics
-from ilora_lab.numerics import matmul, stacked_matmul
+from ilora_lab.numerics import matmul
 rng = np.random.default_rng(11)
 h = hashlib.sha256()
 for m, k, n in ((64, 256, 64), (64, 256, 32), (16, 32, 16), (300, 17, 8),
                 (5, 600, 3), (1, 40, 1)):
     a = rng.standard_normal((m, k)) * 10.0 ** rng.integers(-9, 9, (m, k))
     h.update(matmul(a, rng.standard_normal((k, n))).tobytes())
-h.update(stacked_matmul(rng.standard_normal((3, 20, 30)),
-                        rng.standard_normal((3, 30, 70))).tobytes())
+a, b = rng.standard_normal((3, 20, 30)), rng.standard_normal((3, 30, 70))
+for x, y in zip(a, b):
+    h.update(matmul(x, y).tobytes())
 print(numerics._kernel is c_einsum, h.hexdigest())
 """
 

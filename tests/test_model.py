@@ -113,13 +113,14 @@ class TestParamLayout:
                 backbone_arrays(net, np.zeros(shape))
 
     def test_stack_splits_row_by_row(self):
+        # a stack is split one row, one vector, at a time, into views
         net = make_tiny_net()
         thetas = np.stack([random_theta(net, seed=s) for s in (1, 2, 3)])
-        stacks = split_params(net, thetas)
-        for g, theta in enumerate(thetas):
-            for stacked, single in zip(stacks, split_params(net, theta)):
-                assert np.shares_memory(stacked, thetas)
-                assert stacked[g].tobytes() == single.tobytes()
+        for theta in thetas:
+            own = split_params(net, theta.copy())
+            for view, single in zip(split_params(net, theta), own):
+                assert np.shares_memory(view, thetas)
+                assert view.tobytes() == single.tobytes()
 
 
 class TestForward:
@@ -273,9 +274,9 @@ def training_embedding(net, theta, X):
 
 
 class TestEmbed:
-    """`embed` of a vector, and each slice of `embed` of a (G, P) stack,
-    are byte for byte the training forward's embedding, on the vector
-    path and in every k loop they can take."""
+    """`embed` of a vector, a fresh one or a row of a (G, P) stack, is
+    byte for byte the training forward's embedding, on the vector path and
+    in every k loop it can take."""
 
     # (net shape, rows, G): all vector paths; the default shapes at 256
     # rows, whose first and second layers run the k loop; effective-weight
@@ -290,12 +291,12 @@ class TestEmbed:
         thetas = np.stack([random_theta(net, seed=s, std=0.3)
                            for s in range(G - 1)]
                           + [init_params(net, RngState(G))])
-        z = embed(net, thetas, X)
-        assert z.shape == (G, rows, net.e)
-        assert z.flags.c_contiguous
         for g, theta in enumerate(thetas):
+            z = embed(net, theta, X)
+            assert z.shape == (rows, net.e)
+            assert z.flags.c_contiguous
             want = training_embedding(net, theta, X).tobytes()
-            assert z[g].tobytes() == want, g
+            assert z.tobytes() == want, g
 
     @pytest.mark.parametrize("shape, rows, G", CASES)
     def test_vector_gives_a_contiguous_n_by_e(self, shape, rows, G):
@@ -306,15 +307,6 @@ class TestEmbed:
         assert z.shape == (rows, net.e)
         assert z.flags.c_contiguous
         assert z.tobytes() == training_embedding(net, theta, X).tobytes()
-
-    @pytest.mark.parametrize("shape, rows, G", CASES)
-    def test_stack_of_one_matches_its_vector(self, shape, rows, G):
-        net = make_tiny_net(**shape)
-        X = gaussian_fill(RngState(rows), rows, net.d)
-        theta = random_theta(net, seed=G, std=0.3)
-        z = embed(net, theta[None], X)
-        assert z.shape == (1, rows, net.e)
-        assert z[0].tobytes() == embed(net, theta, X).tobytes()
 
     def test_embedding_matches_forward_byte_for_byte(self):
         net = make_tiny_net()
@@ -331,11 +323,15 @@ class TestEmbed:
             embed(net, theta, gaussian_fill(RngState(9), 4, net.d))
 
     def test_one_nan_theta_raises(self):
+        # one NaN entry is enough, and only its vector's embed raises
         net = make_tiny_net()
         thetas = np.stack([random_theta(net, seed=s) for s in (1, 2, 3)])
         thetas[1, 0] = np.nan
+        X = gaussian_fill(RngState(9), 4, net.d)
+        embed(net, thetas[0], X)
         with pytest.raises(ArithmeticError):
-            embed(net, thetas, gaussian_fill(RngState(9), 4, net.d))
+            embed(net, thetas[1], X)
+        embed(net, thetas[2], X)
 
     def test_input_dim_checked(self):
         net = make_tiny_net()
@@ -366,12 +362,12 @@ def training_forward(net, theta, X):
 
 def spy_switches(monkeypatch):
     """The (x, y) shapes of every `_products` call that switches
-    orientation (y.shape[-1] < x.shape[-1])."""
+    orientation (y.shape[1] < x.shape[1])."""
     switched = []
     real = numerics._products
 
     def spy(x, y):
-        if y.shape[-1] < x.shape[-1]:
+        if y.shape[1] < x.shape[1]:
             switched.append((x.shape, y.shape))
         return real(x, y)
 
@@ -390,6 +386,7 @@ class TestInferenceForward:
     @pytest.mark.parametrize("rows", [1, 31, 32, 33, 256])
     @pytest.mark.parametrize("c", [4, 11])
     def test_vector_and_stack_match_the_training_forward(self, rows, c):
+        # every row of a (G, P) stack, embedded and run forward alone
         net = make_tiny_net(d=16, h=32, e=16, c=c, rank=8)
         X = gaussian_fill(RngState(rows), rows, net.d)
         thetas = np.stack([random_theta(net, seed=s, std=0.3)
@@ -400,20 +397,24 @@ class TestInferenceForward:
             logits, z = forward(net, theta, X)
             assert logits.shape == (rows, c) and z.shape == (rows, net.e)
             assert [logits.tobytes(), z.tobytes()] == want[g], g
-        assert embed(net, thetas[0], X).tobytes() == want[0][1]
-        embedded = embed(net, thetas, X)
-        assert embedded.shape == (3, rows, net.e)
-        for g, (_, want_z) in enumerate(want):
-            assert embedded[g].tobytes() == want_z, g
+            assert embed(net, theta, X).tobytes() == want[g][1], g
         y = np.arange(rows) % c
         assert predict_accuracy(net, thetas[1], Batch(X, y)) == accuracy(
             training_forward(net, thetas[1], X)[0], y)
 
     def test_forward_refuses_a_stack(self):
+        # one vector at a time: forward, embed and split_params refuse a
+        # (G, P) stack, even of one
         net = make_tiny_net()
         thetas = np.stack([random_theta(net, seed=s) for s in (1, 2)])
-        with pytest.raises(ValueError):
-            forward(net, thetas, np.zeros((3, net.d)))
+        X = np.zeros((3, net.d))
+        for stack in (thetas[:1], thetas):
+            for call in (lambda t: forward(net, t, X),
+                         lambda t: embed(net, t, X),
+                         lambda t: split_params(net, t)):
+                with pytest.raises(ValueError,
+                                   match="parameter vector length"):
+                    call(stack)
 
     # d >= h >= e: no effective-weight product switches either, so the
     # spy sees every product of the call
@@ -428,17 +429,6 @@ class TestInferenceForward:
         assert switched  # the row-major forward does switch here
         switched.clear()
         forward(net, theta, X)
-        assert switched == []
-
-    @pytest.mark.parametrize("rows", [24, 64])
-    def test_a_stacked_embed_of_rows_at_least_g_hidden_switches_nowhere(
-            self, monkeypatch, rows):
-        net = make_tiny_net(d=8, h=8, e=4, c=3)
-        X = gaussian_fill(RngState(rows), rows, net.d)
-        thetas = np.stack([random_theta(net, seed=s, std=0.3)
-                           for s in (1, 2, 3)])
-        switched = spy_switches(monkeypatch)
-        embed(net, thetas, X)
         assert switched == []
 
 

@@ -8,7 +8,7 @@ from numpy._core.multiarray import c_einsum
 from ilora_lab import (Batch, RngState, finite_diff_grad, gaussian_fill,
                        matmul, numerics)
 from ilora_lab.numerics import (_FILL_CHUNK, _JUMP_ROWS, _box_muller,
-                                _states_after, stacked_matmul)
+                                _states_after)
 
 import scalar_rng
 from conftest import make_batch
@@ -181,7 +181,7 @@ class TestMatmulLongRows:
     under the caller's ufunc buffer size: the kernel sets none."""
 
     # (long side, k, short side), each over the former vector cutoff:
-    # around and over 256-value rows, the stacked 1,820-row sweep,
+    # around and over 256-value rows, the joined 1,820-row sweep,
     # wide-adapter's three 64-value-row products and a product whose longer
     # side is under 16
     SHAPES = ((255, 17, 8), (256, 17, 8), (257, 17, 8), (300, 17, 8),
@@ -278,6 +278,7 @@ class TestMatmulBlocked:
             assert out.flags.c_contiguous
             assert (bits(out) == bits(triple_loop_matmul(a, b))).all()
 
+    # the slices of a (G, ...) stack, around the block of its G products
     @pytest.mark.parametrize("G, m, n", [(1, 32, 16), (3, 16, 32),
                                          (3, 32, 16)])
     def test_stacks_give_the_loop_bits(self, G, m, n):
@@ -286,10 +287,10 @@ class TestMatmulBlocked:
         for k in self.k_around(block):
             a = stack_operand(rng, G, m, k, "inner")
             b = stack_operand(rng, G, k, n, "T")
-            out = stacked_matmul(a, b)
             for g in range(G):
                 want = triple_loop_matmul(a[g], b[g])
-                assert (bits(out[g]) == bits(want)).all(), (G, m, k, n, g)
+                out = matmul(a[g], b[g])
+                assert (bits(out) == bits(want)).all(), (G, m, k, n, g)
 
     def test_negative_zero_total_becomes_positive_zero(self):
         # every product is -0.0; the loop's sum starts at +0.0
@@ -352,20 +353,19 @@ class TestMatmulBlocked:
 
     @pytest.mark.parametrize("G", [1, 3])
     def test_single_outputs_stay_sequential(self, monkeypatch, G):
-        # numpy sums a contiguous (K, 1) axis pairwise; a 1x1 output, alone
-        # or stacked, takes the k loop however long K is, never einsum
+        # numpy sums a contiguous (K, 1) axis pairwise; a 1x1 output takes
+        # the k loop however long K is, never einsum, here G of them
         rng = np.random.default_rng(G)
         k = 1000
         scale = 10.0 ** rng.integers(-8, 8, (G, 1, k))
         a = rng.standard_normal((G, 1, k)) * scale
         b = rng.standard_normal((G, k, 1))
         calls = spy_einsum(monkeypatch)
-        out = stacked_matmul(a, b)
+        outs = [matmul(x, y) for x, y in zip(a, b)]
         assert calls == []
         for g in range(G):
             want = triple_loop_matmul(a[g], b[g])
-            assert (bits(out[g]) == bits(want)).all()
-            assert (bits(matmul(a[g], b[g])) == bits(want)).all()
+            assert (bits(outs[g]) == bits(want)).all()
 
 
 class TestMatmulCallerBufsize:
@@ -411,8 +411,9 @@ def stack_operand(rng, G, rows, cols, layout):
 
 
 class TestStackedMatmul:
-    """stacked_matmul gives each slice the triple loop's bytes, on both
-    kernel paths and in both orientations, whatever the stack's layout."""
+    """matmul over the slices of (G, ...) stacks, one 2-D product a slice:
+    each gives the triple loop's bytes, on both kernel paths and in both
+    orientations, whatever the stack's layout; a stack itself is refused."""
 
     LAYOUTS = ("C", "T", "strided", "inner")
     # (G, m, K, n): the former vector path with n >= m and n < m; the
@@ -431,19 +432,18 @@ class TestStackedMatmul:
             for layout_b in self.LAYOUTS:
                 a = stack_operand(rng, G, m, k, layout_a)
                 b = stack_operand(rng, G, k, n, layout_b)
-                out = stacked_matmul(a, b)
-                assert out.shape == (G, m, n)
-                assert out.flags.c_contiguous
                 for g in range(G):
+                    out = matmul(a[g], b[g])
+                    assert out.flags.c_contiguous
                     want = triple_loop_matmul(a[g], b[g]).tobytes()
-                    assert out[g].tobytes() == want, (G, m, k, n, g)
-                    assert matmul(a[g], b[g]).tobytes() == want
+                    assert out.tobytes() == want, (G, m, k, n, g)
 
-    # (G, m, K, n) and the (x, y) shapes einsum sees: y is the longer side
+    # (G, m, K, n) and the (x, y) shapes einsum sees for each slice: y is
+    # the longer side
     PATHS = (
-        ((8, 16, 8, 32), [((8, 8, 16), (8, 8, 32))]),
-        ((3, 70, 30, 20), [((30, 3, 20), (30, 3, 70))]),
-        ((1, 2, 60, 300), [((60, 1, 2), (60, 1, 300))]),
+        ((8, 16, 8, 32), [((8, 16), (8, 32))] * 8),
+        ((3, 70, 30, 20), [((30, 20), (30, 70))] * 3),
+        ((1, 2, 60, 300), [((60, 2), (60, 300))]),
         # a 1x1 output: the k loop
         ((2, 1, 40, 1), []))
 
@@ -451,8 +451,9 @@ class TestStackedMatmul:
         calls = spy_einsum(monkeypatch)
         for (G, m, k, n), shapes in self.PATHS:
             calls.clear()
-            out = stacked_matmul(np.ones((G, m, k)), np.ones((G, k, n)))
-            assert (out == k).all()
+            a, b = np.ones((G, m, k)), np.ones((G, k, n))
+            for x, y in zip(a, b):
+                assert (matmul(x, y) == k).all()
             assert [call[:2] for call in calls] == shapes, (G, m, k, n)
 
     def test_negative_zero_total_becomes_positive_zero(self):
@@ -460,29 +461,31 @@ class TestStackedMatmul:
         for G, m, k, n in ((4, 8, 4, 16), (4, 16, 4, 8), (2, 64, 32, 256)):
             a = np.zeros((G, m, k))
             b = -np.abs(rng.standard_normal((G, k, n)))
-            out = stacked_matmul(a, b)
-            assert not np.signbit(out).any()
+            for x, y in zip(a, b):
+                assert not np.signbit(matmul(x, y)).any()
 
     def test_shape_mismatch(self):
-        for a, b in ((np.ones((2, 3, 4)), np.ones((2, 5, 6))),
-                     (np.ones((2, 3, 4)), np.ones((3, 4, 6))),
-                     (np.ones((3, 4)), np.ones((4, 6)))):
+        # a stack is not a matrix, and slices must still fit each other
+        for a, b in ((np.ones((2, 3, 4)), np.ones((2, 4, 6))),
+                     (np.ones((3, 4)), np.ones((2, 4, 6))),
+                     (np.ones((2, 3, 4))[0], np.ones((2, 5, 6))[0])):
             with pytest.raises(ValueError):
-                stacked_matmul(a, b)
+                matmul(a, b)
 
     @pytest.mark.parametrize("m, n", [(300, 8), (8, 300)])
     def test_buffer_size_restored_after_an_error(self, monkeypatch,
                                                  bufsize_4096, m, n):
         calls = spy_einsum(monkeypatch, fail_at=1)
+        a, b = np.ones((4, m, 16)), np.ones((4, 16, n))
         with pytest.raises(FloatingPointError, match="injected"):
-            stacked_matmul(np.ones((4, m, 16)), np.ones((4, 16, n)))
-        assert calls == [((16, 4, 8), (16, 4, 300), 4096)]
+            matmul(a[0], b[0])
+        assert calls == [((16, 8), (16, 300), 4096)]
         assert np.getbufsize() == 4096
 
 
 def blas_einsum(subscripts, x, y, out):
     """A stand-in that hands the product to BLAS, which fuses and reorders."""
-    out[...] = np.matmul(np.moveaxis(x, 0, -1), np.moveaxis(y, 0, -2))
+    out[...] = np.matmul(x.T, y)
     return out
 
 
@@ -500,13 +503,6 @@ def dot_einsum(subscripts, x, y, out):
     return c_einsum(subscripts, x, y.copy(order="F"), out=out)
 
 
-def stacked_dot_einsum(subscripts, x, y, out):
-    """A stand-in that reorders stacks only: 2-D products are einsum's."""
-    if x.ndim == 2:
-        return c_einsum(subscripts, x, y, out=out)
-    return dot_einsum(subscripts, x, y, out)
-
-
 class TestEinsumProbe:
     """The first product binds numpy's C einsum entry as the kernel when
     the probe passes it, and the k loop when the probe rejects a fused or
@@ -522,7 +518,7 @@ class TestEinsumProbe:
         assert numerics._kernel is c_einsum
 
     @pytest.mark.parametrize("stand_in", [blas_einsum, fused_einsum,
-                                          dot_einsum, stacked_dot_einsum])
+                                          dot_einsum])
     def test_a_fused_or_reordering_einsum_is_rejected(
             self, monkeypatch, fresh_probe, stand_in):
         calls = []
@@ -543,9 +539,9 @@ class TestEinsumProbe:
             assert (bits(matmul(a, b)) == bits(triple_loop_matmul(a, b))).all()
         a = stack_operand(rng, 3, 6, 40, "inner")
         b = stack_operand(rng, 3, 40, 9, "C")
-        out = stacked_matmul(a, b)
         for g in range(3):
-            assert (bits(out[g]) == bits(triple_loop_matmul(a[g], b[g]))).all()
+            assert (bits(matmul(a[g], b[g])) ==
+                    bits(triple_loop_matmul(a[g], b[g]))).all()
         assert len(calls) == probed
 
     def test_the_fallback_keeps_a_golden_digest(self, monkeypatch, tmp_path,

@@ -70,6 +70,41 @@ def test_traced_run_and_probes(tmp_path):
     assert tracer.summary()["matmul"]["calls"] > 0
 
 
+def test_every_product_is_traced(tmp_path, monkeypatch):
+    """`probe cka` and a small `probe landscape` under the benchmark's
+    tracer: its `matmul` count equals the number of products summed, as a
+    spy on `numerics._products` counts them, so no product runs past the
+    traced entry point."""
+    from ilora_lab import numerics
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "stream": {"tasks": 3, "input_dim": 8, "classes": 3,
+                   "n_train": 48, "n_eval": 32},
+        "arch": {"hidden": 12, "embed": 8, "rank": 4, "alpha": 8.0,
+                 "pretrain_epochs": 2},
+        "strategy": {"kind": "ILORA"}, "training": {"epochs": 1}}))
+    out = str(tmp_path / "run")
+    assert main(["run", str(cfg), "--out", out]) == 0  # binds the kernel
+    products = []
+    real = numerics._products
+
+    def spy(x, y):
+        products.append(x.shape)
+        return real(x, y)
+
+    monkeypatch.setattr(numerics, "_products", spy)
+    tracer = load_perfbench("tracing").Tracer()
+    with tracer.patched():
+        for argv in (["probe", out, "cka"],
+                     ["probe", out, "landscape", "--transition", "1",
+                      "--grid-points", "3"]):
+            assert main(argv) == 0, argv
+    # cka: 3 checkpoints; landscape: the origin and 8 points; 4 products
+    # an embed
+    assert len(products) == 4 * (3 + 9)
+    assert tracer.summary()["matmul"]["calls"] == len(products)
+
+
 def test_benchmark_checks_pass_on_fresh_runs(tmp_path):
     """The benchmark's own output checks on a tiny run of each kind and on
     one probe round over a 5-task ILORA run: an artifact change that would

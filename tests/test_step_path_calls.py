@@ -19,7 +19,7 @@ WRAPPERS = {"sum", "mean", "max", "min", "all", "any", "prod", "amax",
 STEP_PATH = {
     "numerics.py": ("matmul", "_products", "_k_loop", "all_finite"),
     "model.py": ("softmax", "_head", "_head_loss", "_embed_cached",
-                 "_embed_transposed", "_product", "_effective_weights",
+                 "_embed_transposed", "_effective_weights",
                  "_hidden_backward", "_adapter_grads", "_check_finite",
                  "embed", "forward", "loss_and_grad", "per_sample_grads",
                  "backbone_loss_and_grad"),
