@@ -1,5 +1,12 @@
-"""The run directory: one writer for what `ilora-lab run` makes and one
-reader, checked against the run's config echo, for `sweep-lambda` and `probe`.
+"""The run directory: one owner of its lifecycle, one writer for what
+`ilora-lab run` makes and one reader, checked against the run's config
+echo, for `sweep-lambda` and `probe`.
+
+`claim_run_dir` makes the directory's hidden sibling before training and
+renames it into place when the run is written; on any failure it removes
+the sibling and the parents it made, and nothing else in the package
+makes, renames or removes a directory. `write_run` only writes the files,
+into the directory it is given.
 
 File formats
 ------------
@@ -88,67 +95,68 @@ def write_json(path, payload) -> None:
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _partial(out: Path) -> Path:
-    """The hidden sibling that `write_run` builds the run in. The sibling of
-    "." or ".." needs the real name; realpath, unlike ``Path.resolve``,
-    leaves a symlink loop unresolved instead of raising RuntimeError."""
-    out = Path(os.path.realpath(out))
-    return out.with_name(f".{out.name}.{os.getpid()}.partial")
+@contextlib.contextmanager
+def claim_run_dir(out: Path):
+    """Own the run directory from claim to rename; build the run inside
+    ``with claim_run_dir(out) as tmp:``, from before training on.
 
-
-def claim_run_dir(out: Path) -> None:
-    """Refuse an output path that is a file, a broken symlink or a non-empty
-    directory, so no existing file is touched; make its parent, then make
-    and remove the hidden sibling `write_run` will use, so a name that
-    cannot be made fails here and not after training. On a failure the
-    parents made here are removed. Call it before training."""
+    Refuse an output path that is a file, a broken symlink or a non-empty
+    directory, so no existing file is touched. Make the missing parents and
+    the hidden sibling ``.<name>.<pid>.partial``, so a name that cannot be
+    made fails before training, and yield the sibling. The sibling is named
+    from the real path, since the sibling of "." or ".." needs the real
+    name; realpath, unlike ``Path.resolve``, leaves a symlink loop
+    unresolved instead of raising RuntimeError. When the block ends the
+    sibling is renamed to `out`, so `out` holds a complete run or nothing:
+    on any failure, here or in the block (Ctrl-C included), the sibling
+    made here and the parents made here are removed before it re-raises.
+    """
     if os.path.lexists(out) and not (out.is_dir() and
                                      not any(out.iterdir())):
         raise FileExistsError(f"output path {out} exists and is not an "
                               "empty directory")
     made = [p for p in out.parents if not p.exists()]  # nearest first
+    tmp = None
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
-        sibling = _partial(out)
+        real = Path(os.path.realpath(out))
+        sibling = real.with_name(f".{real.name}.{os.getpid()}.partial")
         sibling.mkdir()
-        sibling.rmdir()
-    except OSError:
+        tmp = sibling
+        yield tmp
+        tmp.rename(real)
+    except BaseException:
+        if tmp is not None:
+            shutil.rmtree(tmp, ignore_errors=True)
         for parent in made:
             with contextlib.suppress(OSError):
                 parent.rmdir()
         raise
 
 
-def write_run(out: Path, cfg: dict, net: Network, record: RunRecord,
+def write_run(run_dir: Path, cfg: dict, net: Network, record: RunRecord,
               evals: list[Batch]) -> None:
-    """Every file of a finished run, written into a hidden sibling of `out`
-    that is then renamed to `out`: `out` holds a complete run or nothing."""
+    """Every file of a finished run, written into the directory `run_dir`
+    (the one `claim_run_dir` yields)."""
     seed = cfg["seed"]
     R = record.result_matrix
-    tmp = _partial(out)
-    tmp.mkdir()
-    try:
-        write_json(tmp / "config_echo.json", cfg)
-        write_csv(tmp / "results_matrix.csv", "after_task,eval_task,accuracy",
-                  R.defined_entries())
-        save_checkpoint(tmp / "backbone.bin", backbone_vector(net), 0, seed,
-                        "backbone")
-        save_checkpoint(tmp / "evals.bin", np.stack([ev.X for ev in evals]),
-                        len(evals), seed, "evals")
-        for role, thetas in (("working", record.checkpoints),
-                             ("longterm", record.slow_checkpoints)):
-            for t, theta in enumerate(thetas, start=1):
-                save_checkpoint(tmp / f"task{t}_{role}.bin", theta, t, seed,
-                                role)
-        write_json(tmp / "metrics.json", {
-            "acc": [acc_t(R, t) for t in range(1, R.T + 1)],
-            "bwt": [bwt_t(R, t) for t in range(2, R.T + 1)],
-            "general_retention": record.general_retention,
-        })
-        tmp.rename(os.path.realpath(out))
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
+    write_json(run_dir / "config_echo.json", cfg)
+    write_csv(run_dir / "results_matrix.csv", "after_task,eval_task,accuracy",
+              R.defined_entries())
+    save_checkpoint(run_dir / "backbone.bin", backbone_vector(net), 0, seed,
+                    "backbone")
+    save_checkpoint(run_dir / "evals.bin", np.stack([ev.X for ev in evals]),
+                    len(evals), seed, "evals")
+    for role, thetas in (("working", record.checkpoints),
+                         ("longterm", record.slow_checkpoints)):
+        for t, theta in enumerate(thetas, start=1):
+            save_checkpoint(run_dir / f"task{t}_{role}.bin", theta, t, seed,
+                            role)
+    write_json(run_dir / "metrics.json", {
+        "acc": [acc_t(R, t) for t in range(1, R.T + 1)],
+        "bwt": [bwt_t(R, t) for t in range(2, R.T + 1)],
+        "general_retention": record.general_retention,
+    })
 
 
 def read_json(path) -> dict:

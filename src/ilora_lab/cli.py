@@ -164,11 +164,11 @@ def cmd_run(config_path: str, seed_override: int | None = None,
     if not cfg["out_dir"]:
         raise ConfigError("out_dir is required (config key or --out)")
     strategy = _strategy_config(cfg)
-    out = Path(cfg["out_dir"])
-    claim_run_dir(out)
-    stream, net = rebuild_environment(cfg)
-    record = run_sequence(strategy, stream.pairs, net, RngState(cfg["seed"]))
-    write_run(out, cfg, net, record, stream.evals)
+    with claim_run_dir(Path(cfg["out_dir"])) as tmp:
+        stream, net = rebuild_environment(cfg)
+        record = run_sequence(strategy, stream.pairs, net,
+                              RngState(cfg["seed"]))
+        write_run(tmp, cfg, net, record, stream.evals)
 
 
 def _check_transition(t: int, cfg: dict) -> None:

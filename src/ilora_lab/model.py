@@ -228,10 +228,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return ex / np.add.reduce(ex, axis=1, keepdims=True)
 
 
-def _head_loss(net: Network, z: np.ndarray, y: np.ndarray):
-    """Mean CE of the head on embeddings z, with its gradients in logits, z."""
-    n = len(y)
-    rows = np.arange(n)
+def _head_loss(net: Network, z: np.ndarray, y: np.ndarray,
+               n: int | None = None):
+    """CE of the head on embeddings z summed over the rows and divided by n
+    (None: the row count, so the mean), with its gradients in logits, z."""
+    n = len(y) if n is None else n
+    rows = np.arange(len(y))
     dlogits = softmax(_head(net, z))
     loss = float(-np.add.reduce(np.log(dlogits[rows, y])) / n)
     dlogits[rows, y] -= 1.0
@@ -311,12 +313,15 @@ def per_sample_grads(net: Network, theta: np.ndarray, batch: Batch):
 
     Stacking rows changes no bits: every matmul entry is the same k-ascending
     sum, and the elementwise steps and softmax's per-row max and sum do not
-    mix rows. A one-row mean and the division by n=1 change nothing, so they
-    are left out. A one-row weight gradient is the K=1 product, an outer
-    product; matmul's zero start +0.0 is left out too, since it only turns
-    a -0.0 into +0.0 and `_adapter_grads` sums every entry from +0.0, so
-    the sign of a zero changes no sum. `_adapter_grads` takes the rows'
-    stacks to the adapters, as in `loss_and_grad`.
+    mix rows. A one-row mean divides by n=1, so each block's `_head_loss`
+    divides by 1, which is exact. Its loss, the block's summed
+    log-likelihood, is finite exactly when every row's is: each term is
+    -inf, NaN or no lower than -745, and a block holds at most 32,768 rows.
+    A one-row weight gradient is the K=1 product, an outer product;
+    matmul's zero start +0.0 is left out, since it only turns a -0.0 into
+    +0.0 and `_adapter_grads` sums every entry from +0.0, so the sign of a
+    zero changes no sum. `_adapter_grads` takes the rows' stacks to the
+    adapters, as in `loss_and_grad`.
     """
     factors = split_params(net, theta)
     W1eff, W2eff = _effective_weights(net, *factors)
@@ -324,18 +329,12 @@ def per_sample_grads(net: Network, theta: np.ndarray, batch: Batch):
                                         + param_length(net)))
     for start in range(0, batch.n, size):
         X = batch.X[start:start + size]
-        y = batch.y[start:start + size]
-        rows = np.arange(len(y))
         z, h1 = _embed_cached(net, W1eff, W2eff, X)
-        dlogits = softmax(_head(net, z))
-        finite = all_finite(np.log(dlogits[rows, y]))
-        dlogits[rows, y] -= 1.0
-        dz = matmul(dlogits, net.Whead)
+        loss, _, dz = _head_loss(net, z, batch.y[start:start + size], 1)
         dpre1 = matmul(dz, W2eff) * (h1 > 0.0)
         g = _adapter_grads(net, dpre1[:, :, None] * X[:, None],
                            dz[:, :, None] * h1[:, None], *factors)
-        if not (finite and all_finite(g)):
-            raise ArithmeticError("non-finite loss or gradient")
+        _check_finite(loss, g)
         yield g
 
 

@@ -283,6 +283,15 @@ def tree_bytes(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+# (patched target, --out under tmp_path) of a run that fails while
+# training and of one that fails once some files are written, each with
+# --out's parent there (id: the target) and under two missing parents
+FAILING_RUNS = [pytest.param(target, out, id=target + suffix)
+                for out, suffix in (("o", ""), ("w/v/o", "-w/v/o"))
+                for target in ("ilora_lab.cli.run_sequence",
+                               "ilora_lab.artifacts.save_checkpoint")]
+
+
 class TestRunDirectory:
     """`run` builds the run directory in a hidden sibling and renames it
     into place: --out holds a complete run or does not exist."""
@@ -305,35 +314,63 @@ class TestRunDirectory:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json",
                                                               "o"]
 
+    # the run is built in the hidden sibling, made before training
     def test_out_absent_while_training(self, tmp_path, monkeypatch):
         from ilora_lab.strategies import run_sequence
         out = tmp_path / "o"
+        sibling = tmp_path / f".o.{os.getpid()}.partial"
         seen = []
 
         def checked(*args, **kwargs):
-            seen.append(out.exists())
+            seen.append((out.exists(), sibling.is_dir()))
             return run_sequence(*args, **kwargs)
 
         monkeypatch.setattr("ilora_lab.cli.run_sequence", checked)
         path = write_config(tmp_path)
         assert main(["run", str(path), "--out", str(out)]) == 0
-        assert seen == [False]
+        assert seen == [(False, True)]
         assert (out / "metrics.json").exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json",
                                                               "o"]
+        assert not any(".partial" in p.name for p in tmp_path.rglob("*"))
 
     # a failure while training, and one after some files are written
-    @pytest.mark.parametrize("target", ["ilora_lab.cli.run_sequence",
-                                        "ilora_lab.artifacts.save_checkpoint"])
+    @pytest.mark.parametrize("target, out", FAILING_RUNS)
     def test_training_error_leaves_nothing_exit_4(self, tmp_path, capsys,
-                                                  monkeypatch, target):
+                                                  monkeypatch, target, out):
         def diverge(*args, **kwargs):
             raise ArithmeticError("non-finite gradient, update rejected")
 
         monkeypatch.setattr(target, diverge)
         path = write_config(tmp_path)
-        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 4
+        assert main(["run", str(path), "--out", str(tmp_path / out)]) == 4
         assert_one_line_error(capsys, "error: numeric failure: ")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    # the disk filling up while the run is written
+    def test_write_error_leaves_nothing_exit_2(self, tmp_path, capsys,
+                                               monkeypatch):
+        def disk_full(*args, **kwargs):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr("ilora_lab.artifacts.save_checkpoint", disk_full)
+        path = write_config(tmp_path)
+        out = tmp_path / "w" / "v" / "o"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert_one_line_error(capsys, f"error: [Errno {errno.ENOSPC}]")
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    # Ctrl-C while training: `main` lets the interrupt through, and the
+    # run directory is undone on its way out
+    def test_interrupt_leaves_nothing(self, tmp_path, monkeypatch):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("ilora_lab.cli.run_sequence", interrupt)
+        path = write_config(tmp_path)
+        out = tmp_path / "w" / "v" / "o"
+        with pytest.raises(KeyboardInterrupt):
+            main(["run", str(path), "--out", str(out)])
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
     @staticmethod
@@ -872,13 +909,12 @@ class TestOutOfMemory:
         raise MemoryError(self.MESSAGE)
 
     # while training, and once some files are written
-    @pytest.mark.parametrize("target", ["ilora_lab.cli.run_sequence",
-                                        "ilora_lab.artifacts.save_checkpoint"])
+    @pytest.mark.parametrize("target, out", FAILING_RUNS)
     def test_run_leaves_no_out_exit_2(self, tmp_path, capsys, monkeypatch,
-                                      target):
+                                      target, out):
         monkeypatch.setattr(target, self.exhaust)
         path = write_config(tmp_path)
-        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert main(["run", str(path), "--out", str(tmp_path / out)]) == 2
         assert_one_line_error(capsys, f"error: out of memory: {self.MESSAGE}")
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
