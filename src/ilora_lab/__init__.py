@@ -16,17 +16,6 @@ from .replay import ReplayBuffer
 from .strategies import (DualMemoryState, RunRecord, StrategyConfig,
                          ilora_step, run_sequence, train_task)
 
-__all__ = [
-    "ArchConfig", "TaskSpec", "TaskStream", "make_stream", "pretrain_backbone",
-    "LambdaSweep", "LandscapeGrid", "default_lambda_grid", "interpolate",
-    "landscape_grid", "linear_cka", "sweep_lambda", "weight_distance",
-    "ResultMatrix", "acc_t", "bwt_t",
-    "Batch", "Network", "embed", "forward", "init_params", "loss_and_grad",
-    "param_length", "predict_accuracy",
-    "RngState", "finite_diff_grad", "gaussian_fill", "matmul",
-    "AdamState", "EwcState", "GradRef", "adam_step", "agem_project",
-    "ema_update", "ewc_fisher", "ewc_penalty_grad", "lr_at", "sgd_step",
-    "ReplayBuffer",
-    "DualMemoryState", "RunRecord", "StrategyConfig", "ilora_step",
-    "run_sequence", "train_task",
-]
+# The public API is every name imported above.
+__all__ = [name for name, obj in globals().items()
+           if getattr(obj, "__module__", "").startswith("ilora_lab.")]

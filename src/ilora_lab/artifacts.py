@@ -102,9 +102,12 @@ def claim_run_dir(out: Path):
 
     Refuse an output path that is a file, a broken symlink or a non-empty
     directory, so no existing file is touched. Make the missing parents and
-    the hidden sibling ``.<name>.<pid>.partial``, so a name that cannot be
-    made fails before training, and yield the sibling. The sibling is named
-    from the real path, since the sibling of "." or ".." needs the real
+    the hidden sibling ``.<name>.<token>.partial``, so a name that cannot be
+    made fails before training, and yield the sibling. The token is 16
+    random hex digits, so a sibling left by a killed run never blocks a
+    later one; another sibling is never read, renamed or removed. A plain
+    mkdir gives the run directory the mode the umask sets. The sibling is
+    named from the real path, since the sibling of "." or ".." needs the real
     name; realpath, unlike ``Path.resolve``, leaves a symlink loop
     unresolved instead of raising RuntimeError. When the block ends the
     sibling is renamed to `out`, so `out` holds a complete run or nothing:
@@ -120,7 +123,7 @@ def claim_run_dir(out: Path):
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
         real = Path(os.path.realpath(out))
-        sibling = real.with_name(f".{real.name}.{os.getpid()}.partial")
+        sibling = real.with_name(f".{real.name}.{os.urandom(8).hex()}.partial")
         sibling.mkdir()
         tmp = sibling
         yield tmp

@@ -105,7 +105,7 @@ def steps_per_task(n: int, config: StrategyConfig) -> int:
     return config.epochs * math.ceil(n / config.batch_size)
 
 
-def train_step(state: DualMemoryState, config: StrategyConfig, pool: Batch,
+def ilora_step(state: DualMemoryState, config: StrategyConfig, pool: Batch,
                buffer: ReplayBuffer | None, net: Network, rng: RngState,
                k: int, ewc_states: list[EwcState] | tuple = ()
                ) -> DualMemoryState:
@@ -134,11 +134,6 @@ def train_step(state: DualMemoryState, config: StrategyConfig, pool: Batch,
     return DualMemoryState(theta, theta_l, adam)
 
 
-# The dual-memory step under the name its callers and span tracing (which
-# finds functions by name) use.
-ilora_step = train_step
-
-
 def train_task(state: DualMemoryState, config: StrategyConfig, data: Batch,
                steps: int, buffer: ReplayBuffer | None,
                ewc_states: list[EwcState], net: Network,
@@ -151,7 +146,7 @@ def train_task(state: DualMemoryState, config: StrategyConfig, data: Batch,
     state = replace(state, adam=AdamState.fresh(
         state.theta_w.size, config.base_lr, config.warmup_ratio, steps))
     for k in range(1, steps + 1):
-        state = train_step(state, config, pool, buffer, net, rng, k,
+        state = ilora_step(state, config, pool, buffer, net, rng, k,
                            ewc_states)
     return state
 
@@ -184,10 +179,10 @@ def run_sequence(config: StrategyConfig, stream: list[tuple[Batch, Batch]],
         phases = [(tr, steps_per_task(tr.n, config), range(t, t + 1))
                   for t, (tr, _) in enumerate(stream, start=1)]
 
-    R = ResultMatrix(T)
     ewc_states: list[EwcState] = []
     checkpoints: list[np.ndarray] = []
     slow_checkpoints: list[np.ndarray] = []
+    matrix_rows: list[list[float]] = []
     for train, steps, rows in phases:
         state = train_task(state, config, train, steps, buffer, ewc_states,
                            net, rng)
@@ -208,7 +203,8 @@ def run_sequence(config: StrategyConfig, stream: list[tuple[Batch, Batch]],
             checkpoints.append(theta.copy())
             if ilora:
                 slow_checkpoints.append(state.theta_l.copy())
-            for j in range(1, t + 1):
-                R.set(t, j, accs[j - 1])
+            matrix_rows.append(accs[:t])
 
-    return RunRecord(checkpoints, slow_checkpoints, R, R.get(T, 1) - untrained)
+    return RunRecord(checkpoints, slow_checkpoints,
+                     ResultMatrix.from_rows(matrix_rows),
+                     matrix_rows[-1][0] - untrained)

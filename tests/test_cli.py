@@ -4,7 +4,10 @@ import os
 import re
 import shutil
 import stat
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,6 +286,22 @@ def tree_bytes(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+# `run <config> <out>` in a child process that says "training" and then
+# blocks in place of training, until it is killed
+BLOCKED_RUN = """
+import sys, time
+from ilora_lab import cli
+
+def blocked(*args, **kwargs):
+    print("training", flush=True)
+    time.sleep(60)
+
+cli.run_sequence = blocked
+cli.main(["run", sys.argv[1], "--out", sys.argv[2]])
+"""
+
+
 # (patched target, --out under tmp_path) of a run that fails while
 # training and of one that fails once some files are written, each with
 # --out's parent there (id: the target) and under two missing parents
@@ -318,17 +337,17 @@ class TestRunDirectory:
     def test_out_absent_while_training(self, tmp_path, monkeypatch):
         from ilora_lab.strategies import run_sequence
         out = tmp_path / "o"
-        sibling = tmp_path / f".o.{os.getpid()}.partial"
         seen = []
 
         def checked(*args, **kwargs):
-            seen.append((out.exists(), sibling.is_dir()))
+            siblings = list(tmp_path.glob(".o.*.partial"))
+            seen.append((out.exists(), [p.is_dir() for p in siblings]))
             return run_sequence(*args, **kwargs)
 
         monkeypatch.setattr("ilora_lab.cli.run_sequence", checked)
         path = write_config(tmp_path)
         assert main(["run", str(path), "--out", str(out)]) == 0
-        assert seen == [(False, True)]
+        assert seen == [(False, [True])]
         assert (out / "metrics.json").exists()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json",
                                                               "o"]
@@ -398,7 +417,7 @@ class TestRunDirectory:
         if parent:
             assert list((tmp_path / "w").iterdir()) == []
 
-    # a valid name whose hidden `.{name}.{pid}.partial` sibling is too
+    # a valid name whose hidden `.{name}.{token}.partial` sibling is too
     # long, under missing parents
     @pytest.mark.parametrize("parents", ["", "w", "w/v"])
     def test_sibling_name_too_long_exit_2(self, tmp_path, capsys,
@@ -409,6 +428,48 @@ class TestRunDirectory:
         assert main(["run", str(path), "--out", str(out)]) == 2
         assert_one_line_error(capsys, f"error: [Errno {errno.ENAMETOOLONG}]")
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    # a sibling left behind under this process's id, as the sibling was
+    # once named, neither blocks the run nor is touched by it
+    def test_leftover_sibling_left_alone(self, tmp_path):
+        path = write_config(tmp_path)
+        leftover = tmp_path / f".o.{os.getpid()}.partial"
+        leftover.mkdir()
+        (leftover / "task1_working.bin").write_bytes(b"killed run")
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "metrics.json").exists()
+        assert tree_bytes(leftover) == {"task1_working.bin": b"killed run"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            [leftover.name, "config.json", "o"]
+
+    # SIGKILL while training cannot be caught: the run leaves its sibling,
+    # and a rerun to the same --out still succeeds beside it
+    def test_killed_run_does_not_block_a_rerun(self, tmp_path):
+        path = write_config(tmp_path)
+        out = tmp_path / "o"
+        child = subprocess.Popen(
+            [sys.executable, "-c", BLOCKED_RUN, str(path), str(out)],
+            stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        try:
+            assert child.stdout.readline() == "training\n"
+        finally:
+            child.kill()
+            child.communicate()
+        siblings = list(tmp_path.glob(".o.*.partial"))
+        assert len(siblings) == 1 and not out.exists()
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        assert (out / "metrics.json").exists()
+        assert list(tmp_path.glob(".o.*.partial")) == siblings
+
+    # the run directory gets the mode of any directory made with mkdir
+    def test_out_has_the_umask_mode(self, tmp_path):
+        path = write_config(tmp_path)
+        made = tmp_path / "made"
+        made.mkdir()
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert stat.S_IMODE((tmp_path / "o").stat().st_mode) == \
+            stat.S_IMODE(made.stat().st_mode)
 
     # a link to nothing, and a link to itself
     @pytest.mark.parametrize("target", ["gone", "link"])
